@@ -1,16 +1,19 @@
 //! Zero-cost check for `NoopRecorder`: the instrumented code paths, when
 //! monomorphized over the no-op recorder, must run at the same speed as
-//! uninstrumented code. Measures a hot loop with per-iteration recorder
-//! calls against the identical loop without them and asserts the medians
-//! agree within 2%, then benchmarks a real algorithm under both recorders
-//! for context.
+//! uninstrumented code. Measures a hot loop with per-iteration counter,
+//! histogram, span and instant traffic against the identical loop without
+//! it and asserts the medians agree within 2%, then benchmarks a real
+//! algorithm under the no-op and atomic recorders and the batch engine
+//! with and without a live trace collector, for context.
 
 use std::time::Instant;
 
 use criterion::{black_box, criterion_group, criterion_main, Criterion};
 use lrb_core::greedy::{self, ReinsertOrder};
+use lrb_engine::{solve_batch, solve_batch_recorded, BatchItem, BatchSolver, EngineConfig};
+use lrb_harness::bench::smoke_ladder;
 use lrb_instances::generators::{CostModel, GeneratorConfig, PlacementModel, SizeDistribution};
-use lrb_obs::{AtomicRecorder, NoopRecorder, Recorder};
+use lrb_obs::{AtomicRecorder, NoopRecorder, Recorder, TraceCollector};
 
 /// The uninstrumented hot loop.
 fn plain_sum(data: &[u64]) -> u64 {
@@ -21,13 +24,16 @@ fn plain_sum(data: &[u64]) -> u64 {
     acc
 }
 
-/// The same loop with per-iteration recorder traffic: with `NoopRecorder`
-/// every call monomorphizes to nothing.
+/// The same loop with per-iteration recorder traffic: a counter, a
+/// histogram observation, a span guard opened and dropped, and an instant.
+/// With `NoopRecorder` every call monomorphizes to nothing.
 fn recorded_sum<R: Recorder>(data: &[u64], rec: &R) -> u64 {
     let mut acc = 0u64;
     for &v in data {
+        let _span = rec.span_with("bench.iteration", v, false);
         rec.incr("bench.iterations", 1);
         rec.observe("bench.values", v);
+        rec.instant("bench.value", v, false);
         acc = acc.wrapping_add(v).rotate_left(7) ^ v;
     }
     acc
@@ -112,6 +118,38 @@ fn bench_obs_overhead(c: &mut Criterion) {
                 .unwrap()
                 .0
                 .makespan()
+        })
+    });
+
+    // The batch engine uninstrumented vs. under a live collector.
+    let batch = &smoke_ladder(7)[0];
+    let items: Vec<BatchItem> = batch
+        .instances
+        .iter()
+        .map(|inst| BatchItem {
+            instance: inst.clone(),
+            budget: batch.budget,
+        })
+        .collect();
+    let cfg = EngineConfig::with_threads(2);
+    c.bench_function("engine_batch/untraced", |b| {
+        b.iter(|| {
+            solve_batch(black_box(&items), BatchSolver::MPartition, &cfg)
+                .outcomes
+                .len()
+        })
+    });
+    c.bench_function("engine_batch/live_collector", |b| {
+        b.iter(|| {
+            let mut collector = TraceCollector::new(2);
+            solve_batch_recorded(
+                black_box(&items),
+                BatchSolver::MPartition,
+                &cfg,
+                &mut collector,
+            )
+            .outcomes
+            .len()
         })
     });
 }

@@ -560,8 +560,7 @@ mod tests {
             "crates/lrb-core/src/lib.rs",
             "pub fn f(load: u64) -> u64 {\n    load.saturating_add(1)\n}\n",
         )];
-        let analysis =
-            lrb_lint::analyze_sources(&files, &lrb_obs::NoopRecorder, &lrb_obs::NoopTracer);
+        let analysis = lrb_lint::analyze_sources(&files, &lrb_obs::NoopRecorder);
         let json = lrb_lint::report_json(&analysis);
         let mut doc: Value = serde_json::from_str(&json).unwrap();
         validate_lint(&doc).unwrap();

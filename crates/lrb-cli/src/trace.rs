@@ -16,11 +16,11 @@
 //! kinds, and payloads of all non-scheduling events and is identical for a
 //! fixed scenario/seed at any thread count.
 
-use lrb_engine::{solve_batch_traced, BatchItem, BatchSolver, EngineConfig};
+use lrb_engine::{solve_batch_recorded, BatchItem, BatchSolver, EngineConfig};
 use lrb_harness::bench::{smoke_ladder, standard_ladder, BenchBatch};
-use lrb_obs::{names, NoopRecorder, Trace, TraceCollector, Tracer, TRACE_SCHEMA_VERSION};
+use lrb_obs::{names, Recorder, Trace, TraceCollector, TRACE_SCHEMA_VERSION};
 use lrb_sim::{
-    run_farm_faulty_traced, run_farm_online_recorded, FarmConfig, MPartitionPolicy,
+    run_farm_faulty_recorded, run_farm_online_recorded, FarmConfig, MPartitionPolicy,
     OnlineWorkloadConfig,
 };
 use serde_json::{Number, Value};
@@ -76,7 +76,7 @@ fn ladder_trace(ladder: Vec<BenchBatch>, scenario: &str, threads: usize, seed: u
                 budget: batch.budget,
             })
             .collect();
-        solve_batch_traced(&items, BatchSolver::MPartition, &cfg, &mut collector);
+        solve_batch_recorded(&items, BatchSolver::MPartition, &cfg, &mut collector);
     }
     let trace = collector.finish(scenario, seed, threads, "m-partition");
     let attributed = trace.attributed_fraction(
@@ -101,8 +101,8 @@ fn chaos_trace(seed: u64) -> TraceRun {
     let collector = TraceCollector::new(1);
     let main = collector.main();
     {
-        let _run = main.span(names::SIM_RUN);
-        run_farm_faulty_traced(&farm, &mut MPartitionPolicy, &plan, main, main);
+        let _run = main.time(names::SIM_RUN);
+        run_farm_faulty_recorded(&farm, &mut MPartitionPolicy, &plan, main);
     }
     let trace = collector.finish("chaos", seed, 1, "m-partition");
     let attributed = trace.attributed_fraction(names::SIM_RUN, &[names::SIM_EPOCH]);
@@ -118,7 +118,7 @@ fn online_trace(seed: u64) -> TraceRun {
     let collector = TraceCollector::new(1);
     let main = collector.main();
     {
-        let _run = main.span(names::SIM_RUN);
+        let _run = main.time(names::SIM_RUN);
         run_farm_online_recorded(&cfg, main);
     }
     let trace = collector.finish("online", seed, 1, "online-m-partition");
@@ -151,7 +151,7 @@ fn lint_trace(seed: u64) -> Result<TraceRun, String> {
     let root = workspace_root()?;
     let collector = TraceCollector::new(1);
     let main = collector.main();
-    lrb_lint::analyze_workspace(&root, &NoopRecorder, main)
+    lrb_lint::analyze_workspace(&root, main)
         .map_err(|e| format!("lint walk under {}: {e}", root.display()))?;
     let trace = collector.finish("lint", seed, 1, "semantic-lint");
     let attributed = trace.attributed_fraction(

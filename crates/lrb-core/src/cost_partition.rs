@@ -199,13 +199,7 @@ fn rebalance_impl<R: Recorder>(
 /// [`Error::InfeasibleGuess`] when there are more large jobs than
 /// processors.
 pub fn run_at(inst: &Instance, a: Size) -> Result<CostPartitionRun> {
-    run_at_recorded(inst, a, &NoopRecorder)
-}
-
-/// [`run_at`] with instrumentation threaded into the per-processor
-/// knapsacks.
-pub fn run_at_recorded<R: Recorder>(inst: &Instance, a: Size, rec: &R) -> Result<CostPartitionRun> {
-    run_at_impl(inst, a, rec, &mut PartitionScratch::default())
+    run_at_impl(inst, a, &NoopRecorder, &mut PartitionScratch::default())
 }
 
 fn run_at_impl<R: Recorder>(

@@ -217,33 +217,13 @@ pub struct HeteroMPartitionRun {
 /// assert!(run.scaled_makespan <= inst.initial_makespan());
 /// ```
 pub fn rebalance_greedy(inst: &Instance, speeds: &Speeds, k: usize) -> Result<HeteroRun> {
-    rebalance_greedy_recorded(inst, speeds, k, &NoopRecorder)
+    rebalance_greedy_scratch_recorded(inst, speeds, k, &NoopRecorder, &mut Scratch::new())
 }
 
-/// [`rebalance_greedy`] with instrumentation: times the run
-/// (`hetero.greedy`) and counts cross-processor moves (`hetero.moves`).
-pub fn rebalance_greedy_recorded<R: Recorder>(
-    inst: &Instance,
-    speeds: &Speeds,
-    k: usize,
-    rec: &R,
-) -> Result<HeteroRun> {
-    let mut scratch = Scratch::new();
-    rebalance_greedy_scratch_recorded(inst, speeds, k, rec, &mut scratch)
-}
-
-/// [`rebalance_greedy`] against a reusable [`Scratch`]: identical output,
-/// no steady-state allocation beyond the returned assignment.
-pub fn rebalance_greedy_scratch(
-    inst: &Instance,
-    speeds: &Speeds,
-    k: usize,
-    scratch: &mut Scratch,
-) -> Result<HeteroRun> {
-    rebalance_greedy_scratch_recorded(inst, speeds, k, &NoopRecorder, scratch)
-}
-
-/// [`rebalance_greedy_scratch`] with a recorder.
+/// [`rebalance_greedy`] against a reusable [`Scratch`] (identical output,
+/// no steady-state allocation beyond the returned assignment), with
+/// instrumentation: times the run (`hetero.greedy`) and counts
+/// cross-processor moves (`hetero.moves`).
 pub fn rebalance_greedy_scratch_recorded<R: Recorder>(
     inst: &Instance,
     speeds: &Speeds,
@@ -382,32 +362,12 @@ pub fn rebalance_mpartition(
     speeds: &Speeds,
     k: usize,
 ) -> Result<HeteroMPartitionRun> {
-    rebalance_mpartition_recorded(inst, speeds, k, &NoopRecorder)
+    rebalance_mpartition_scratch_recorded(inst, speeds, k, &NoopRecorder, &mut Scratch::new())
 }
 
-/// [`rebalance_mpartition`] with instrumentation: times the run
-/// (`hetero.mpartition`) and counts probed thresholds (`hetero.probes`).
-pub fn rebalance_mpartition_recorded<R: Recorder>(
-    inst: &Instance,
-    speeds: &Speeds,
-    k: usize,
-    rec: &R,
-) -> Result<HeteroMPartitionRun> {
-    let mut scratch = Scratch::new();
-    rebalance_mpartition_scratch_recorded(inst, speeds, k, rec, &mut scratch)
-}
-
-/// [`rebalance_mpartition`] against a reusable [`Scratch`].
-pub fn rebalance_mpartition_scratch(
-    inst: &Instance,
-    speeds: &Speeds,
-    k: usize,
-    scratch: &mut Scratch,
-) -> Result<HeteroMPartitionRun> {
-    rebalance_mpartition_scratch_recorded(inst, speeds, k, &NoopRecorder, scratch)
-}
-
-/// [`rebalance_mpartition_scratch`] with a recorder.
+/// [`rebalance_mpartition`] against a reusable [`Scratch`], with
+/// instrumentation: times the run (`hetero.mpartition`) and counts probed
+/// thresholds (`hetero.probes`).
 pub fn rebalance_mpartition_scratch_recorded<R: Recorder>(
     inst: &Instance,
     speeds: &Speeds,

@@ -32,7 +32,7 @@ use crate::error::{Error, Result};
 use crate::model::{Instance, ProcId, Size};
 use crate::outcome::RebalanceOutcome;
 use crate::profiles::Profiles;
-use crate::scratch::{PartitionScratch, Scratch};
+use crate::scratch::PartitionScratch;
 
 /// Diagnostics of a PARTITION run, exposing the paper's named quantities.
 #[derive(Debug, Clone, PartialEq, Eq)]
@@ -114,35 +114,19 @@ pub fn run(inst: &Instance, t: Size) -> Result<PartitionRun> {
 /// [`run`] against precomputed profiles (used by M-PARTITION to avoid
 /// rebuilding them per guess).
 pub fn run_with_profiles(inst: &Instance, profiles: &Profiles, t: Size) -> Result<PartitionRun> {
-    run_with_profiles_recorded(inst, profiles, t, &NoopRecorder)
+    run_impl(
+        inst,
+        profiles,
+        t,
+        &NoopRecorder,
+        &mut PartitionScratch::default(),
+    )
 }
 
-/// [`run_with_profiles`] with instrumentation: each of the paper's six steps
-/// is timed as its own phase (`partition.step1_strip` …
+/// PARTITION at guess `t` against `s`'s recycled buffers. Each of the
+/// paper's six steps is timed as its own phase (`partition.step1_strip` …
 /// `partition.step6_reinsert`) and the planned large/small removals are
 /// counted (`partition.large_removed` / `partition.small_removed`).
-pub fn run_with_profiles_recorded<R: Recorder>(
-    inst: &Instance,
-    profiles: &Profiles,
-    t: Size,
-    rec: &R,
-) -> Result<PartitionRun> {
-    run_impl(inst, profiles, t, rec, &mut PartitionScratch::default())
-}
-
-/// [`run_with_profiles_recorded`] against a reusable [`Scratch`]: identical
-/// output, with every working buffer (selection ranking, removal lists, the
-/// reinsertion heap) recycled across calls.
-pub fn run_with_profiles_scratch_recorded<R: Recorder>(
-    inst: &Instance,
-    profiles: &Profiles,
-    t: Size,
-    rec: &R,
-    scratch: &mut Scratch,
-) -> Result<PartitionRun> {
-    run_impl(inst, profiles, t, rec, &mut scratch.partition)
-}
-
 pub(crate) fn run_impl<R: Recorder>(
     inst: &Instance,
     profiles: &Profiles,

@@ -44,12 +44,12 @@ where
         return inputs
             .iter()
             .map(|input| {
+                let _cell = rec.time(names::HARNESS_CELL);
                 let start = R::ENABLED.then(Instant::now);
                 let out = f(input);
                 if let Some(t) = start {
                     let nanos = (t.elapsed().as_nanos() as u64).max(1);
                     rec.observe(names::HARNESS_CELL_NANOS, nanos);
-                    rec.record_duration(names::HARNESS_CELL, nanos);
                 }
                 out
             })
@@ -82,13 +82,16 @@ where
                                 t.elapsed().as_nanos() as u64,
                             );
                         }
-                        let start = R::ENABLED.then(Instant::now);
-                        let out = f(&inputs[i]);
-                        if let Some(t) = start {
-                            let nanos = (t.elapsed().as_nanos() as u64).max(1);
-                            rec.observe(names::HARNESS_CELL_NANOS, nanos);
-                            rec.record_duration(names::HARNESS_CELL, nanos);
-                        }
+                        let out = {
+                            let _cell = rec.time(names::HARNESS_CELL);
+                            let start = R::ENABLED.then(Instant::now);
+                            let out = f(&inputs[i]);
+                            if let Some(t) = start {
+                                let nanos = (t.elapsed().as_nanos() as u64).max(1);
+                                rec.observe(names::HARNESS_CELL_NANOS, nanos);
+                            }
+                            out
+                        };
                         local.push((i, out));
                         idle_since = R::ENABLED.then(Instant::now);
                     }

@@ -35,7 +35,7 @@ pub mod taint;
 
 use std::path::{Path, PathBuf};
 
-use lrb_obs::{names, NoopRecorder, NoopTracer, Recorder, Tracer};
+use lrb_obs::{names, NoopRecorder, Recorder};
 
 pub use graph::GraphStats;
 pub use report::{
@@ -115,48 +115,39 @@ fn walk(dir: &Path, files: &mut Vec<PathBuf>) -> std::io::Result<()> {
 /// virtual workspace: lexical rules per file, then the call-graph passes
 /// across all of them, then suppression filtering and the stale pass.
 ///
-/// Instrumentation goes to `rec`/`tracer` under the `lint.*` names, so
-/// analyzer cost shows up in `lrb trace` like every other subsystem.
-pub fn analyze_sources<R: Recorder, T: Tracer>(
-    files: &[(&str, &str)],
-    rec: &R,
-    tracer: &T,
-) -> Analysis {
+/// Instrumentation goes to `rec` under the `lint.*` names: one
+/// `lint.parse` span per file, one `lint.graph` span, and one `lint.pass`
+/// span per semantic pass, so analyzer cost shows up in `lrb trace` like
+/// every other subsystem.
+pub fn analyze_sources<R: Recorder>(files: &[(&str, &str)], rec: &R) -> Analysis {
     let mut findings: Vec<Finding> = Vec::new();
     let mut facts = Vec::new();
     let mut allows: Vec<(String, Vec<scan::Allow>)> = Vec::new();
 
-    {
-        let _t = rec.time(names::LINT_PARSE);
-        for (i, (path, src)) in files.iter().enumerate() {
-            let _s = tracer.span_with(names::LINT_PARSE, i as u64, false);
-            let toks = lexer::lex(src);
-            let sc = scan::Scan::new(&toks);
-            let file_allows = scan::collect_allows(&toks, &sc.sig, path, &mut findings);
-            rules::lexical_findings(&sc, path, &mut findings);
-            facts.push(parser::parse_file(path, &sc));
-            allows.push((path.to_string(), file_allows));
-        }
+    for (i, (path, src)) in files.iter().enumerate() {
+        let _s = rec.span_with(names::LINT_PARSE, i as u64, false);
+        let toks = lexer::lex(src);
+        let sc = scan::Scan::new(&toks);
+        let file_allows = scan::collect_allows(&toks, &sc.sig, path, &mut findings);
+        rules::lexical_findings(&sc, path, &mut findings);
+        facts.push(parser::parse_file(path, &sc));
+        allows.push((path.to_string(), file_allows));
     }
 
     let g = {
-        let _t = rec.time(names::LINT_GRAPH);
-        let _s = tracer.span(names::LINT_GRAPH);
+        let _s = rec.time(names::LINT_GRAPH);
         graph::build(facts)
     };
 
-    {
-        let _t = rec.time(names::LINT_PASS);
-        type Pass = fn(&graph::Graph, &mut Vec<Finding>);
-        const PASSES: &[Pass] = &[
-            taint::panic_pass,
-            taint::nondet_pass,
-            taint::arith_flow_pass,
-        ];
-        for (k, pass) in PASSES.iter().enumerate() {
-            let _s = tracer.span_with(names::LINT_PASS, k as u64, false);
-            pass(&g, &mut findings);
-        }
+    type Pass = fn(&graph::Graph, &mut Vec<Finding>);
+    const PASSES: &[Pass] = &[
+        taint::panic_pass,
+        taint::nondet_pass,
+        taint::arith_flow_pass,
+    ];
+    for (k, pass) in PASSES.iter().enumerate() {
+        let _s = rec.span_with(names::LINT_PASS, k as u64, false);
+        pass(&g, &mut findings);
     }
 
     // Suppression filtering: a matching allow eats the finding and is
@@ -238,18 +229,14 @@ pub fn analyze_sources<R: Recorder, T: Tracer>(
 
 /// [`analyze_sources`] without instrumentation, returning only findings.
 pub fn lint_sources(files: &[(&str, &str)]) -> Vec<Finding> {
-    analyze_sources(files, &NoopRecorder, &NoopTracer).findings
+    analyze_sources(files, &NoopRecorder).findings
 }
 
 /// Read and analyze every workspace file under `root`; findings carry
 /// root-relative paths so rule scoping is independent of where the tool is
 /// invoked from.
-pub fn analyze_workspace<R: Recorder, T: Tracer>(
-    root: &Path,
-    rec: &R,
-    tracer: &T,
-) -> std::io::Result<Analysis> {
-    let _run = tracer.span(names::LINT_RUN);
+pub fn analyze_workspace<R: Recorder>(root: &Path, rec: &R) -> std::io::Result<Analysis> {
+    let _run = rec.time(names::LINT_RUN);
     let mut sources: Vec<(String, String)> = Vec::new();
     for file in collect_files(root)? {
         let rel = file
@@ -264,10 +251,10 @@ pub fn analyze_workspace<R: Recorder, T: Tracer>(
         .iter()
         .map(|(p, s)| (p.as_str(), s.as_str()))
         .collect();
-    Ok(analyze_sources(&views, rec, tracer))
+    Ok(analyze_sources(&views, rec))
 }
 
 /// Lint every workspace file under `root` with the full analyzer.
 pub fn lint_workspace(root: &Path) -> std::io::Result<Vec<Finding>> {
-    analyze_workspace(root, &NoopRecorder, &NoopTracer).map(|a| a.findings)
+    analyze_workspace(root, &NoopRecorder).map(|a| a.findings)
 }

@@ -6,7 +6,7 @@ use std::path::PathBuf;
 use std::process::ExitCode;
 
 use lrb_lint::{analyze_workspace, report_json, rules, schedules};
-use lrb_obs::{AtomicRecorder, NoopTracer};
+use lrb_obs::AtomicRecorder;
 
 const USAGE: &str = "\
 lrb-lint — workspace invariant checker
@@ -128,7 +128,7 @@ fn main() -> ExitCode {
     }
 
     let rec = AtomicRecorder::new();
-    let analysis = match analyze_workspace(&args.root, &rec, &NoopTracer) {
+    let analysis = match analyze_workspace(&args.root, &rec) {
         Ok(a) => a,
         Err(e) => {
             eprintln!("lrb-lint: walking {}: {e}", args.root.display());

@@ -177,7 +177,7 @@ enum Ctx {
 }
 
 /// Tokens that put a following `impl`/`fn` keyword in *type* position
-/// (`-> impl Tracer`, `f: fn(u64) -> u64`), not item position.
+/// (`-> impl Recorder`, `f: fn(u64) -> u64`), not item position.
 const TYPE_POSITION: &[&str] = &[":", ",", "(", "&", "<", "->", "dyn", "|", "=", "+"];
 
 /// Parse one file into call-graph facts. `scan` must come from the same

@@ -356,17 +356,15 @@ const LOAD_WORDS: &[&str] = &[
 /// Identifiers that contain a load word but are not load-typed values.
 const LOAD_WORD_EXEMPT: &[&str] = &["usize", "isize"];
 
-/// Recorder and Tracer methods whose name arguments must use `names::`
-/// consts.
+/// `Recorder` methods whose name arguments must use `names::` consts.
 const RECORDER_METHODS: &[&str] = &[
     "incr",
     "observe",
-    "record_duration",
     "time",
-    "span",
     "span_with",
     "instant",
     "enter",
+    "exit",
 ];
 
 pub(crate) fn is_loadish(name: &str) -> bool {

@@ -145,15 +145,21 @@ fn obs_names_fixture_flags_inline_literal_only() {
         include_str!("../fixtures/obs_names.rs"),
         "crates/lrb-sim/src/fixture.rs",
     );
-    // The inline "sim.epochz" Recorder literal and the "sim.runz" Tracer
-    // span literal trip; the names:: calls are the sanctioned form.
+    // The inline "sim.epochz" counter literal, the "sim.runz" phase
+    // literal and the "sim.stepz" span literal trip; the names:: calls are
+    // the sanctioned form.
     assert_eq!(
         triples(&findings),
-        vec![("obs-name-registry", 7, 14), ("obs-name-registry", 12, 26),],
+        vec![
+            ("obs-name-registry", 7, 14),
+            ("obs-name-registry", 12, 23),
+            ("obs-name-registry", 13, 28),
+        ],
         "{findings:#?}"
     );
     assert!(findings[0].message.contains("sim.epochz"));
     assert!(findings[1].message.contains("sim.runz"));
+    assert!(findings[2].message.contains("sim.stepz"));
 }
 
 #[test]
@@ -310,7 +316,7 @@ fn real_workspace_is_clean() {
         .join("../..")
         .canonicalize()
         .expect("workspace root exists");
-    let analysis = lrb_lint::analyze_workspace(&root, &lrb_obs::NoopRecorder, &lrb_obs::NoopTracer)
+    let analysis = lrb_lint::analyze_workspace(&root, &lrb_obs::NoopRecorder)
         .expect("workspace walk succeeds");
     assert!(analysis.findings.is_empty(), "{:#?}", analysis.findings);
     // Vacuity guards: an empty call graph would make every reachability

@@ -1,32 +1,39 @@
 //! Zero-overhead instrumentation for the load-rebalancing workspace.
 //!
-//! The core abstraction is the [`Recorder`] trait: algorithms take a generic
-//! `&R: Recorder` parameter and report counters, histogram observations, and
-//! RAII-timed phases through it. Two implementations are provided:
+//! One trait, [`Recorder`], carries every kind of instrumentation:
+//! counters, log2 histogram observations, RAII spans ([`Recorder::time`]
+//! for a payload-free phase, [`Recorder::span_with`] for a span with a
+//! payload and a scheduling-lane flag), and instant markers. Algorithms
+//! take a generic `&R: Recorder` parameter and one guard type, [`Span`],
+//! closes every span. Three implementations decide what the events
+//! become:
 //!
 //! - [`NoopRecorder`]: a zero-sized type whose methods are empty and whose
 //!   `ENABLED` flag is `false`, so monomorphized call sites compile to
 //!   nothing. Un-instrumented public APIs delegate through it, keeping the
 //!   disabled path free (see `benches/obs_overhead.rs` in `lrb-bench`).
-//! - [`AtomicRecorder`]: a thread-safe recorder backed by atomics, suitable
-//!   for sharing across the parallel harness.
+//! - [`AtomicRecorder`]: thread-safe totals backed by atomics, suitable
+//!   for sharing across the parallel harness. A closed span adds one call
+//!   and its wall time to the phase of the same name; scheduling-lane
+//!   spans and instants are dropped.
+//! - [`ThreadTracer`]: one single-owner lane of a [`TraceCollector`]. Each
+//!   span or instant becomes a [`SpanEvent`] on a shared timebase;
+//!   counters and histograms are dropped.
 //!
 //! A recorder can be frozen into a [`Snapshot`] — a versioned, serializable
 //! view with per-counter totals, histogram percentiles (p50/p90/p99), and
 //! per-phase wall-clock totals — which the CLI exports as JSON via
-//! `--metrics` and renders as a table with `--verbose`.
+//! `--metrics` and renders as a table with `--verbose`. A collector drains
+//! into a [`Trace`], which the CLI exports as Chrome trace-event JSON.
 
 pub mod names;
 mod recorder;
 mod snapshot;
 pub mod trace;
 
-pub use recorder::{AtomicRecorder, NoopRecorder, PhaseTimer, Recorder};
+pub use recorder::{AtomicRecorder, NoopRecorder, Recorder, Span};
 pub use snapshot::{CounterSnapshot, HistogramSnapshot, PhaseSnapshot, Snapshot, SCHEMA_VERSION};
-pub use trace::{
-    NoopTracer, SpanEvent, SpanGuard, SpanKind, ThreadTracer, Trace, TraceCollector, Tracer,
-    TRACE_SCHEMA_VERSION,
-};
+pub use trace::{SpanEvent, SpanKind, ThreadTracer, Trace, TraceCollector, TRACE_SCHEMA_VERSION};
 
 #[cfg(test)]
 mod tests {
@@ -42,7 +49,46 @@ mod tests {
         r.observe("h", 42);
         {
             let _t = r.time("p");
+            let _s = r.span_with("s", 1, false);
         }
+        r.instant("i", 2, true);
+    }
+
+    #[test]
+    fn atomic_recorder_folds_spans_into_phases_and_drops_sched_lanes() {
+        let r = AtomicRecorder::new();
+        {
+            let _w = r.span_with("worker", 0, true);
+            for i in 0..3u64 {
+                let _s = r.span_with("solve", i, false);
+            }
+            r.instant("steal", 1, true);
+        }
+        let snap = r.snapshot();
+        assert_eq!(snap.phase("solve").unwrap().calls, 3);
+        assert!(snap.phase("solve").unwrap().total_nanos >= 3);
+        // Scheduling-lane spans and instants never become phases.
+        assert!(snap.phase("worker").is_none());
+        assert!(snap.phase("steal").is_none());
+        assert_eq!(snap.phases.len(), 1);
+    }
+
+    #[test]
+    fn shared_references_record_into_their_referent() {
+        fn emit<R: Recorder>(rec: R) {
+            rec.incr("n", 1);
+            let _t = rec.time("p");
+        }
+        let r = AtomicRecorder::new();
+        emit(&r);
+        emit::<&&AtomicRecorder>(&&r);
+        let snap = r.snapshot();
+        assert_eq!(snap.counter("n"), Some(2));
+        assert_eq!(snap.phase("p").unwrap().calls, 2);
+        const { assert!(<&AtomicRecorder as Recorder>::ENABLED) };
+        const { assert!(!<&NoopRecorder as Recorder>::ENABLED) };
+        const { assert!(<&ThreadTracer as Recorder>::TIMELINE) };
+        const { assert!(!<&AtomicRecorder as Recorder>::TIMELINE) };
     }
 
     #[test]

@@ -1,4 +1,5 @@
-//! The [`Recorder`] trait and its two implementations.
+//! The [`Recorder`] trait, its RAII [`Span`] guard, and the no-op and
+//! atomic implementations.
 
 use std::collections::BTreeMap;
 use std::sync::atomic::{AtomicU64, Ordering};
@@ -22,15 +23,25 @@ pub(crate) fn bucket_index(value: u64) -> usize {
     }
 }
 
-/// Sink for instrumentation events.
+/// Sink for instrumentation events: counters, histogram observations,
+/// RAII spans, and instant markers.
 ///
 /// Algorithms take `&R` where `R: Recorder`; passing [`NoopRecorder`]
 /// monomorphizes every call to an empty inline function, so disabled
-/// instrumentation costs nothing.
+/// instrumentation costs nothing. [`AtomicRecorder`] folds every span into
+/// per-name phase totals; a [`ThreadTracer`](crate::ThreadTracer) lane keeps
+/// each span as its own timeline event and drops counters and histograms.
 pub trait Recorder {
     /// `false` for [`NoopRecorder`]; lets call sites skip work that only
     /// exists to feed the recorder (e.g. reading the clock).
     const ENABLED: bool;
+
+    /// `true` for recorders that keep every span as its own timeline event.
+    /// Per-item hot loops (the batch engine's solve spans and the solver
+    /// phases nested in them) report only into timeline recorders, so an
+    /// aggregate recorder shared by all workers pays no registry lookup per
+    /// item.
+    const TIMELINE: bool = false;
 
     /// Add `by` to the named monotonic counter.
     fn incr(&self, counter: &'static str, by: u64);
@@ -38,43 +49,89 @@ pub trait Recorder {
     /// Record one observation into the named log2 histogram.
     fn observe(&self, histogram: &'static str, value: u64);
 
-    /// Add one timed call of `nanos` nanoseconds to the named phase.
-    fn record_duration(&self, phase: &'static str, nanos: u64);
+    /// Open a span with payload `v`; `sched` marks scheduling-lane events
+    /// (claim/steal/queue-wait), whose count depends on thread
+    /// interleaving. Returns the start instant when the recorder times the
+    /// span itself; [`span_with`](Recorder::span_with) hands it back to
+    /// [`exit`](Recorder::exit). Prefer the RAII wrappers.
+    fn enter(&self, name: &'static str, v: u64, sched: bool) -> Option<Instant>;
 
-    /// Start an RAII timer; the elapsed time is recorded against `phase`
-    /// when the returned guard drops.
-    fn time(&self, phase: &'static str) -> PhaseTimer<'_, Self>
+    /// Close the innermost open span, `name`, opened with `start`.
+    fn exit(&self, name: &'static str, start: Option<Instant>);
+
+    /// Emit a point-in-time marker.
+    fn instant(&self, name: &'static str, v: u64, sched: bool);
+
+    /// RAII span: enters now, exits when the returned guard drops.
+    fn span_with(&self, name: &'static str, v: u64, sched: bool) -> Span<'_, Self>
     where
         Self: Sized,
     {
-        PhaseTimer {
+        let start = if Self::ENABLED {
+            self.enter(name, v, sched)
+        } else {
+            None
+        };
+        Span {
             recorder: self,
-            phase,
-            start: if Self::ENABLED {
-                // lint: allow(no-nondeterminism, phase timing is telemetry; durations never feed solve results)
-                Some(Instant::now())
-            } else {
-                None
-            },
+            name,
+            start,
+        }
+    }
+
+    /// RAII span with no payload: times one `phase` of an algorithm.
+    fn time(&self, phase: &'static str) -> Span<'_, Self>
+    where
+        Self: Sized,
+    {
+        self.span_with(phase, 0, false)
+    }
+}
+
+/// RAII guard returned by [`Recorder::span_with`] and [`Recorder::time`].
+pub struct Span<'a, R: Recorder> {
+    recorder: &'a R,
+    name: &'static str,
+    start: Option<Instant>,
+}
+
+impl<R: Recorder> Drop for Span<'_, R> {
+    fn drop(&mut self) {
+        if R::ENABLED {
+            self.recorder.exit(self.name, self.start);
         }
     }
 }
 
-/// RAII guard returned by [`Recorder::time`].
-pub struct PhaseTimer<'a, R: Recorder> {
-    recorder: &'a R,
-    phase: &'static str,
-    start: Option<Instant>,
-}
+/// A shared reference records into its referent, so one `&AtomicRecorder`
+/// can be copied into every worker lane of a parallel run.
+impl<R: Recorder> Recorder for &R {
+    const ENABLED: bool = R::ENABLED;
+    const TIMELINE: bool = R::TIMELINE;
 
-impl<R: Recorder> Drop for PhaseTimer<'_, R> {
-    fn drop(&mut self) {
-        if let Some(start) = self.start {
-            // Clamp to >= 1ns so a recorded phase is always distinguishable
-            // from one that never ran, even under coarse clocks.
-            let nanos = (start.elapsed().as_nanos() as u64).max(1);
-            self.recorder.record_duration(self.phase, nanos);
-        }
+    #[inline(always)]
+    fn incr(&self, counter: &'static str, by: u64) {
+        (**self).incr(counter, by);
+    }
+
+    #[inline(always)]
+    fn observe(&self, histogram: &'static str, value: u64) {
+        (**self).observe(histogram, value);
+    }
+
+    #[inline(always)]
+    fn enter(&self, name: &'static str, v: u64, sched: bool) -> Option<Instant> {
+        (**self).enter(name, v, sched)
+    }
+
+    #[inline(always)]
+    fn exit(&self, name: &'static str, start: Option<Instant>) {
+        (**self).exit(name, start);
+    }
+
+    #[inline(always)]
+    fn instant(&self, name: &'static str, v: u64, sched: bool) {
+        (**self).instant(name, v, sched);
     }
 }
 
@@ -94,7 +151,15 @@ impl Recorder for NoopRecorder {
     fn observe(&self, _histogram: &'static str, _value: u64) {}
 
     #[inline(always)]
-    fn record_duration(&self, _phase: &'static str, _nanos: u64) {}
+    fn enter(&self, _name: &'static str, _v: u64, _sched: bool) -> Option<Instant> {
+        None
+    }
+
+    #[inline(always)]
+    fn exit(&self, _name: &'static str, _start: Option<Instant>) {}
+
+    #[inline(always)]
+    fn instant(&self, _name: &'static str, _v: u64, _sched: bool) {}
 }
 
 struct AtomicHistogram {
@@ -284,6 +349,9 @@ impl AtomicRecorder {
     }
 }
 
+/// Spans fold into per-name phase totals (calls, total and max
+/// nanoseconds); scheduling-lane spans and instants are dropped, since
+/// their counts depend on thread interleaving rather than on the work.
 impl Recorder for AtomicRecorder {
     const ENABLED: bool = true;
 
@@ -295,10 +363,21 @@ impl Recorder for AtomicRecorder {
         handle(&self.histograms, histogram, AtomicHistogram::new).observe(value);
     }
 
-    fn record_duration(&self, phase: &'static str, nanos: u64) {
-        let stat = handle(&self.phases, phase, PhaseStat::default);
+    fn enter(&self, _name: &'static str, _v: u64, sched: bool) -> Option<Instant> {
+        // lint: allow(no-nondeterminism, phase timing is telemetry; durations never feed solve results)
+        (!sched).then(Instant::now)
+    }
+
+    fn exit(&self, name: &'static str, start: Option<Instant>) {
+        let Some(start) = start else { return };
+        // Clamp to >= 1ns so a recorded phase is always distinguishable
+        // from one that never ran, even under coarse clocks.
+        let nanos = (start.elapsed().as_nanos() as u64).max(1);
+        let stat = handle(&self.phases, name, PhaseStat::default);
         stat.calls.fetch_add(1, Ordering::Relaxed);
         stat.total_nanos.fetch_add(nanos, Ordering::Relaxed);
         stat.max_nanos.fetch_max(nanos, Ordering::Relaxed);
     }
+
+    fn instant(&self, _name: &'static str, _v: u64, _sched: bool) {}
 }

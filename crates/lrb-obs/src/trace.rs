@@ -1,11 +1,20 @@
-//! lrb-trace: structured span tracing behind the zero-cost pattern.
+//! Span timelines: per-thread [`ThreadTracer`] lanes and the
+//! [`TraceCollector`] that owns them.
 //!
-//! The [`Tracer`] trait mirrors [`Recorder`](crate::Recorder): call sites are
-//! generic over a tracer, [`NoopTracer`] is a zero-sized type whose methods
-//! compile away, and [`ThreadTracer`] is the live implementation — a
-//! lock-free (single-owner, `!Sync`) per-thread span buffer. A
-//! [`TraceCollector`] owns one lane per worker plus a main lane; after a run
-//! it drains every lane into a versioned [`Trace`].
+//! A `ThreadTracer` is the timeline implementation of
+//! [`Recorder`](crate::Recorder): every span opened through
+//! [`span_with`](crate::Recorder::span_with) or
+//! [`time`](crate::Recorder::time) becomes one [`SpanEvent`], and
+//! [`instant`](crate::Recorder::instant) markers become instant events.
+//! Counters and histogram observations are not span-shaped and are
+//! dropped; run an [`AtomicRecorder`](crate::AtomicRecorder) when totals
+//! are needed. So solver phases, simulator epochs and engine scheduling
+//! all reach a trace through the same generic `R: Recorder` parameter that
+//! feeds metrics, with no second plumbing path.
+//!
+//! A lane is lock-free (single-owner, `!Sync`). A `TraceCollector` owns
+//! one lane per worker plus a main lane; after a run it drains every lane
+//! into a versioned [`Trace`].
 //!
 //! Span timeline events carry wall-clock offsets read from a shared origin
 //! `Instant`, so lanes share one timebase and a Chrome trace-event export
@@ -16,12 +25,6 @@
 //! scheduling-lane events (`sched: true`) — the only events whose *count*
 //! depends on thread interleaving. For a fixed seed the hash is therefore
 //! identical across reruns and across thread counts.
-//!
-//! `ThreadTracer` also implements `Recorder`, forwarding
-//! [`record_duration`](crate::Recorder::record_duration) into a completed
-//! span (start reconstructed as `now - nanos`). That bridge gives solver
-//! phases (`rec.time(...)` RAII timers in lrb-core) and simulator epochs
-//! trace spans with no new plumbing through their signatures.
 
 use std::cell::{Cell, RefCell};
 use std::time::Instant;
@@ -65,88 +68,6 @@ pub struct SpanEvent {
     pub sched: bool,
 }
 
-/// Sink for span events. The tracing analogue of [`Recorder`]: generic call
-/// sites monomorphize to nothing under [`NoopTracer`].
-pub trait Tracer {
-    /// `false` for [`NoopTracer`]; lets call sites skip work that only
-    /// exists to feed the tracer.
-    const ENABLED: bool;
-
-    /// Open a span. Must be matched by [`exit`](Tracer::exit); prefer the
-    /// RAII [`span_with`](Tracer::span_with) wrapper.
-    fn enter(&self, name: &'static str, v: u64, sched: bool);
-
-    /// Close the innermost open span.
-    fn exit(&self);
-
-    /// Emit a point-in-time marker.
-    fn instant(&self, name: &'static str, v: u64, sched: bool);
-
-    /// RAII span with no payload.
-    fn span(&self, name: &'static str) -> SpanGuard<'_, Self>
-    where
-        Self: Sized,
-    {
-        self.span_with(name, 0, false)
-    }
-
-    /// RAII span: enters now, exits when the guard drops.
-    fn span_with(&self, name: &'static str, v: u64, sched: bool) -> SpanGuard<'_, Self>
-    where
-        Self: Sized,
-    {
-        if Self::ENABLED {
-            self.enter(name, v, sched);
-        }
-        SpanGuard { tracer: self }
-    }
-}
-
-/// RAII guard returned by [`Tracer::span_with`].
-pub struct SpanGuard<'a, T: Tracer> {
-    tracer: &'a T,
-}
-
-impl<T: Tracer> Drop for SpanGuard<'_, T> {
-    fn drop(&mut self) {
-        if T::ENABLED {
-            self.tracer.exit();
-        }
-    }
-}
-
-/// Tracer that records nothing. Zero-sized; also implements [`Recorder`] as
-/// a no-op so one generic parameter can serve call sites that both trace
-/// and record.
-#[derive(Debug, Clone, Copy, Default, PartialEq, Eq)]
-pub struct NoopTracer;
-
-impl Tracer for NoopTracer {
-    const ENABLED: bool = false;
-
-    #[inline(always)]
-    fn enter(&self, _name: &'static str, _v: u64, _sched: bool) {}
-
-    #[inline(always)]
-    fn exit(&self) {}
-
-    #[inline(always)]
-    fn instant(&self, _name: &'static str, _v: u64, _sched: bool) {}
-}
-
-impl Recorder for NoopTracer {
-    const ENABLED: bool = false;
-
-    #[inline(always)]
-    fn incr(&self, _counter: &'static str, _by: u64) {}
-
-    #[inline(always)]
-    fn observe(&self, _histogram: &'static str, _value: u64) {}
-
-    #[inline(always)]
-    fn record_duration(&self, _phase: &'static str, _nanos: u64) {}
-}
-
 /// One lane of buffered span events, owned by exactly one thread at a time.
 ///
 /// `Send` but `!Sync` (interior `RefCell`/`Cell` state): the engine hands
@@ -177,11 +98,6 @@ impl ThreadTracer {
         self.tid
     }
 
-    /// Number of buffered events.
-    pub fn event_count(&self) -> usize {
-        self.events.borrow().len()
-    }
-
     fn now_nanos(&self) -> u64 {
         self.origin.elapsed().as_nanos() as u64
     }
@@ -197,10 +113,17 @@ impl ThreadTracer {
     }
 }
 
-impl Tracer for ThreadTracer {
+impl Recorder for ThreadTracer {
     const ENABLED: bool = true;
+    const TIMELINE: bool = true;
 
-    fn enter(&self, name: &'static str, v: u64, sched: bool) {
+    #[inline(always)]
+    fn incr(&self, _counter: &'static str, _by: u64) {}
+
+    #[inline(always)]
+    fn observe(&self, _histogram: &'static str, _value: u64) {}
+
+    fn enter(&self, name: &'static str, v: u64, sched: bool) -> Option<Instant> {
         // Trace timestamps are excluded from the determinism hash.
         let ts_nanos = self.now_nanos();
         let mut events = self.events.borrow_mut();
@@ -215,9 +138,10 @@ impl Tracer for ThreadTracer {
             v,
             sched,
         });
+        None
     }
 
-    fn exit(&self) {
+    fn exit(&self, _name: &'static str, _start: Option<Instant>) {
         // Trace timestamps are excluded from the determinism hash.
         let now = self.now_nanos();
         if let Some(idx) = self.open.borrow_mut().pop() {
@@ -240,37 +164,6 @@ impl Tracer for ThreadTracer {
             kind: SpanKind::Instant,
             v,
             sched,
-        });
-    }
-}
-
-/// The recorder bridge: RAII phase timers (`rec.time(...)`) and explicit
-/// `record_duration` calls become completed spans with the start
-/// reconstructed as `now - nanos`, so solver phases and simulator epochs
-/// appear in the trace without new plumbing. Counters and histogram
-/// observations are not span-shaped and are dropped here — run a real
-/// [`AtomicRecorder`](crate::AtomicRecorder) alongside if totals are needed.
-impl Recorder for ThreadTracer {
-    const ENABLED: bool = true;
-
-    #[inline(always)]
-    fn incr(&self, _counter: &'static str, _by: u64) {}
-
-    #[inline(always)]
-    fn observe(&self, _histogram: &'static str, _value: u64) {}
-
-    fn record_duration(&self, phase: &'static str, nanos: u64) {
-        // Trace timestamps are excluded from the determinism hash.
-        let end = self.now_nanos();
-        self.events.borrow_mut().push(SpanEvent {
-            name: phase,
-            tid: self.tid,
-            seq: self.next_seq(),
-            ts_nanos: end.saturating_sub(nanos),
-            dur_nanos: nanos.max(1),
-            kind: SpanKind::Complete,
-            v: 0,
-            sched: false,
         });
     }
 }
@@ -298,15 +191,11 @@ impl TraceCollector {
         &self.lanes[0]
     }
 
-    /// Number of worker lanes.
-    pub fn worker_count(&self) -> usize {
-        self.lanes.len() - 1
-    }
-
-    /// Exclusive access to the worker lanes, for distribution across
-    /// engine workers (lane `w` goes to worker `w`).
-    pub fn workers_mut(&mut self) -> &mut [ThreadTracer] {
-        &mut self.lanes[1..]
+    /// The main lane plus exclusive access to the worker lanes, for
+    /// distribution across engine workers (lane `w` goes to worker `w`).
+    pub fn lanes_mut(&mut self) -> (&ThreadTracer, &mut [ThreadTracer]) {
+        let (main, workers) = self.lanes.split_at_mut(1);
+        (&main[0], workers)
     }
 
     /// Drain every lane into a finished [`Trace`].
@@ -427,21 +316,6 @@ mod tests {
     use super::*;
 
     #[test]
-    fn noop_tracer_is_zero_sized_and_disabled() {
-        assert_eq!(std::mem::size_of::<NoopTracer>(), 0);
-        const { assert!(!<NoopTracer as Tracer>::ENABLED) };
-        let t = NoopTracer;
-        {
-            let _s = t.span_with("s", 1, false);
-        }
-        t.instant("i", 2, true);
-        // The Recorder side is a no-op too.
-        t.incr("c", 1);
-        t.observe("h", 1);
-        t.record_duration("p", 1);
-    }
-
-    #[test]
     fn spans_nest_and_close_in_raii_order() {
         let c = TraceCollector::new(1);
         {
@@ -473,20 +347,25 @@ mod tests {
     }
 
     #[test]
-    fn recorder_bridge_reconstructs_span_starts() {
+    fn timed_phases_become_complete_spans_and_totals_are_dropped() {
         let c = TraceCollector::new(1);
-        c.main().record_duration("phase", 5_000);
+        {
+            let _p = c.main().time("phase");
+            c.main().incr("counter", 1);
+            c.main().observe("histogram", 1);
+        }
         let trace = c.finish("test", 0, 1, "none");
+        assert_eq!(trace.events.len(), 1);
         let ev = trace.events_named("phase").next().unwrap();
-        assert_eq!(ev.dur_nanos, 5_000);
-        assert_eq!(ev.kind, SpanKind::Complete);
-        assert!(!ev.sched);
+        assert!(ev.dur_nanos >= 1);
+        assert_eq!((ev.kind, ev.v, ev.sched), (SpanKind::Complete, 0, false));
     }
 
     #[test]
     fn determinism_hash_ignores_time_order_and_sched_events() {
         let build = |shuffle: bool, extra_sched: usize| {
             let mut c = TraceCollector::new(2);
+            let (main, workers) = c.lanes_mut();
             let names: &[&'static str] = &["alpha", "beta", "gamma"];
             let order: Vec<usize> = if shuffle {
                 vec![2, 0, 1]
@@ -496,11 +375,11 @@ mod tests {
             for (lane, &i) in order.iter().enumerate() {
                 // Spread the same logical events across different lanes in
                 // a different order; the multiset is unchanged.
-                let t = &c.workers_mut()[lane % 2];
+                let t = &workers[lane % 2];
                 let _s = t.span_with(names[i], i as u64, false);
             }
             for _ in 0..extra_sched {
-                c.main().instant("steal", 3, true);
+                main.instant("steal", 3, true);
             }
             c.finish("test", 7, 2, "none").determinism_hash()
         };
@@ -522,7 +401,7 @@ mod tests {
     fn attribution_covers_leaf_spans() {
         let mut c = TraceCollector::new(1);
         {
-            let t = &c.workers_mut()[0];
+            let t = &c.lanes_mut().1[0];
             let _w = t.span_with("worker", 0, true);
             for i in 0..50u64 {
                 let _s = t.span_with("solve", i, false);
@@ -539,13 +418,13 @@ mod tests {
     #[test]
     fn collector_lanes_are_distinct_and_share_a_timebase() {
         let mut c = TraceCollector::new(3);
-        assert_eq!(c.worker_count(), 3);
-        assert_eq!(c.main().tid(), 0);
-        let tids: Vec<u32> = c.workers_mut().iter().map(|t| t.tid()).collect();
+        let (main, workers) = c.lanes_mut();
+        assert_eq!(main.tid(), 0);
+        let tids: Vec<u32> = workers.iter().map(|t| t.tid()).collect();
         assert_eq!(tids, vec![1, 2, 3]);
         // Worker lanes are Send: hand them to scoped threads like Scratches.
         std::thread::scope(|s| {
-            for t in c.workers_mut() {
+            for t in workers {
                 s.spawn(move || {
                     let _span = t.span_with("w", u64::from(t.tid()), true);
                 });

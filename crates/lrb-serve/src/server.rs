@@ -18,7 +18,7 @@ use std::net::{TcpListener, TcpStream};
 use std::path::{Path, PathBuf};
 use std::sync::atomic::{AtomicBool, Ordering};
 use std::sync::mpsc::{self, Receiver, SyncSender, TrySendError};
-use std::sync::{Arc, Mutex};
+use std::sync::{Arc, Condvar, Mutex, PoisonError};
 use std::thread;
 
 use lrb_obs::{names, AtomicRecorder, Recorder};
@@ -144,6 +144,41 @@ struct Deferred {
     tenant: Option<u64>,
 }
 
+/// Shutdown acks handed to connection threads but not yet written to their
+/// sockets. The state thread counts them in before sending; each
+/// connection thread counts its ack out once written and flushed, and
+/// [`Server::run`] waits for zero, so the process cannot exit with an ack
+/// still queued for a detached connection thread.
+#[derive(Default)]
+struct AckGate {
+    left: Mutex<usize>,
+    written: Condvar,
+}
+
+impl AckGate {
+    fn add(&self, n: usize) {
+        *self.left.lock().unwrap_or_else(PoisonError::into_inner) += n;
+    }
+
+    fn done(&self) {
+        let mut left = self.left.lock().unwrap_or_else(PoisonError::into_inner);
+        *left = left.saturating_sub(1);
+        if *left == 0 {
+            self.written.notify_all();
+        }
+    }
+
+    fn wait(&self) {
+        let mut left = self.left.lock().unwrap_or_else(PoisonError::into_inner);
+        while *left > 0 {
+            left = self
+                .written
+                .wait(left)
+                .unwrap_or_else(PoisonError::into_inner);
+        }
+    }
+}
+
 /// The tenant a request would mutate (admission/backpressure scope).
 fn mutating_tenant(req: &Request) -> Option<u64> {
     match *req {
@@ -206,8 +241,9 @@ impl Server {
         Arc::clone(&self.recorder)
     }
 
-    /// Serve until a `Shutdown` request arrives; a final snapshot is
-    /// written before returning.
+    /// Serve until a `Shutdown` request arrives. A final snapshot is
+    /// written before the Shutdown is acked, and `run` returns only after
+    /// every Shutdown ack has been written and flushed to its socket.
     ///
     /// # Errors
     ///
@@ -226,14 +262,16 @@ impl Server {
         let local = listener.local_addr()?;
         let shutdown = Arc::new(AtomicBool::new(false));
         let pending: Arc<Mutex<BTreeMap<u64, u64>>> = Arc::new(Mutex::new(BTreeMap::new()));
+        let acks = Arc::new(AckGate::default());
         let (tx, rx) = mpsc::sync_channel::<Msg>(cfg.queue_bound.max(1));
 
         let state_thread = {
             let shutdown = Arc::clone(&shutdown);
             let pending = Arc::clone(&pending);
             let recorder = Arc::clone(&recorder);
+            let acks = Arc::clone(&acks);
             thread::spawn(move || {
-                let out = state_loop(state, wal, rx, &pending, &data_dir, &cfg, &recorder);
+                let out = state_loop(state, wal, rx, &pending, &data_dir, &cfg, &recorder, &acks);
                 shutdown.store(true, Ordering::SeqCst);
                 // Unblock the acceptor so run() can return.
                 drop(TcpStream::connect(local));
@@ -253,13 +291,16 @@ impl Server {
             let tx = tx.clone();
             let pending = Arc::clone(&pending);
             let recorder = Arc::clone(&recorder);
-            thread::spawn(move || connection_loop(stream, &tx, &pending, &cfg, &recorder));
+            let acks = Arc::clone(&acks);
+            thread::spawn(move || connection_loop(stream, &tx, &pending, &cfg, &recorder, &acks));
         }
         drop(tx);
-        match state_thread.join() {
+        let out = match state_thread.join() {
             Ok(out) => out,
             Err(_) => Err(ServeError::State("state thread panicked".into())),
-        }
+        };
+        acks.wait();
+        out
     }
 }
 
@@ -280,6 +321,7 @@ fn connection_loop(
     pending: &Mutex<BTreeMap<u64, u64>>,
     cfg: &ServeConfig,
     recorder: &AtomicRecorder,
+    acks: &AckGate,
 ) {
     loop {
         let frame = {
@@ -337,6 +379,7 @@ fn connection_loop(
             *slot += 1;
         }
 
+        let shutdown = matches!(req, Request::Shutdown);
         let (rtx, rrx) = mpsc::channel();
         match tx.try_send(Msg { req, reply: rtx }) {
             Ok(()) => {}
@@ -370,7 +413,11 @@ fn connection_loop(
         let resp = rrx.recv().unwrap_or(Response::Error {
             detail: "server shutting down".into(),
         });
-        if send_response(&stream, &resp).is_err() {
+        let sent = send_response(&stream, &resp);
+        if shutdown && matches!(resp, Response::Ack { .. }) {
+            acks.done();
+        }
+        if sent.is_err() {
             return;
         }
     }
@@ -451,7 +498,7 @@ fn outcome_response(outcome: ApplyOutcome, seq: u64, recorder: &AtomicRecorder) 
 /// (grouping consecutive undegraded rebalances for distinct tenants into
 /// one engine epoch), append the admitted events to the WAL, flush, and
 /// only then release the acks.
-#[allow(clippy::too_many_lines)]
+#[allow(clippy::too_many_lines, clippy::too_many_arguments)]
 fn state_loop(
     mut state: ServeState,
     mut wal: Wal,
@@ -460,6 +507,7 @@ fn state_loop(
     data_dir: &Path,
     cfg: &ServeConfig,
     recorder: &AtomicRecorder,
+    acks: &AckGate,
 ) -> Result<(), ServeError> {
     let mut last_snapshot = state.applied();
     loop {
@@ -591,8 +639,12 @@ fn state_loop(
         }
         if !shutdown_replies.is_empty() {
             let seq = state.applied();
+            acks.add(shutdown_replies.len());
             for reply in shutdown_replies {
-                let _ = reply.send(Response::Ack { seq });
+                if reply.send(Response::Ack { seq }).is_err() {
+                    // Its connection thread is gone; nobody will write it.
+                    acks.done();
+                }
             }
             return Ok(());
         }

@@ -11,7 +11,7 @@ use std::time::Instant;
 
 use lrb_core::model::{Budget, Instance, Job};
 use lrb_faults::{FaultPlan, FaultyView};
-use lrb_obs::{names, NoopRecorder, NoopTracer, Recorder, Tracer};
+use lrb_obs::{names, NoopRecorder, Recorder};
 
 use crate::metrics::{DecisionCounters, DegradationMetrics, EpochMetrics, SimReport};
 use crate::policy::Policy;
@@ -89,6 +89,7 @@ pub fn run_recorded<R: Recorder>(cfg: &FarmConfig, policy: &mut dyn Policy, rec:
 
     for epoch in 0..cfg.epochs {
         let started = Instant::now();
+        let _epoch = rec.time(names::SIM_EPOCH);
         workload.step();
         let inst = instance_for(workload.loads(), &placement, cfg);
         let new_assignment = policy.rebalance(&inst, cfg.budget);
@@ -129,7 +130,6 @@ pub fn run_recorded<R: Recorder>(cfg: &FarmConfig, policy: &mut dyn Policy, rec:
             1,
         );
         rec.observe(names::SIM_EPOCH_NANOS, nanos);
-        rec.record_duration(names::SIM_EPOCH, nanos);
     }
 
     SimReport {
@@ -168,26 +168,16 @@ pub fn run_faulty(cfg: &FarmConfig, policy: &mut dyn Policy, plan: &FaultPlan) -
 /// answer provenance in [`SimReport::provenance`]. A fault-free plan takes
 /// the exact historical code path, so its report is bit-for-bit identical
 /// to [`run_recorded`].
+///
+/// On a timeline recorder, crash/recovery transitions and per-site
+/// evacuations additionally land as `fault.crash`, `fault.recovery`, and
+/// `fault.evacuation` instant events (payload = the processor or site
+/// index).
 pub fn run_faulty_recorded<R: Recorder>(
     cfg: &FarmConfig,
     policy: &mut dyn Policy,
     plan: &FaultPlan,
     rec: &R,
-) -> SimReport {
-    run_faulty_traced(cfg, policy, plan, rec, &NoopTracer)
-}
-
-/// [`run_faulty_recorded`] with span tracing: crash/recovery transitions and
-/// per-site evacuations additionally land on the tracer as `fault.crash`,
-/// `fault.recovery`, and `fault.evacuation` instant events (payload = the
-/// processor or site index). [`NoopTracer`] compiles the tracing away, so
-/// the recorded path is unchanged.
-pub fn run_faulty_traced<R: Recorder, T: Tracer>(
-    cfg: &FarmConfig,
-    policy: &mut dyn Policy,
-    plan: &FaultPlan,
-    rec: &R,
-    tracer: &T,
 ) -> SimReport {
     if plan.is_fault_free() {
         return run_recorded(cfg, policy, rec);
@@ -213,15 +203,16 @@ pub fn run_faulty_traced<R: Recorder, T: Tracer>(
 
     for epoch in 0..cfg.epochs {
         let started = Instant::now();
+        let _epoch = rec.time(names::SIM_EPOCH);
         workload.step();
         let faults = plan.epoch(epoch);
-        if T::ENABLED {
+        if R::ENABLED {
             let (crashed, recovered) = faults.transitions(&prev_down);
             for p in crashed {
-                tracer.instant(names::FAULT_CRASH, p as u64, false);
+                rec.instant(names::FAULT_CRASH, p as u64, false);
             }
             for p in recovered {
-                tracer.instant(names::FAULT_RECOVERY, p as u64, false);
+                rec.instant(names::FAULT_RECOVERY, p as u64, false);
             }
             prev_down.clone_from(&faults.down);
         }
@@ -249,7 +240,7 @@ pub fn run_faulty_traced<R: Recorder, T: Tracer>(
                 forced_moves += 1;
                 forced_cost =
                     forced_cost.saturating_add(site_cost(loads[site], cfg.migration_cost));
-                tracer.instant(names::FAULT_EVACUATION, site as u64, false);
+                rec.instant(names::FAULT_EVACUATION, site as u64, false);
             }
         }
         let remaining_budget = match cfg.budget {
@@ -343,7 +334,6 @@ pub fn run_faulty_traced<R: Recorder, T: Tracer>(
             1,
         );
         rec.observe(names::SIM_EPOCH_NANOS, nanos);
-        rec.record_duration(names::SIM_EPOCH, nanos);
         if degraded {
             rec.incr(names::SIM_DEGRADED_EPOCHS, 1);
         }
@@ -533,13 +523,7 @@ mod tests {
         );
         let plain = run_faulty(&c, &mut MPartitionPolicy, &plan);
         let collector = lrb_obs::TraceCollector::new(1);
-        let traced = run_faulty_traced(
-            &c,
-            &mut MPartitionPolicy,
-            &plan,
-            collector.main(),
-            collector.main(),
-        );
+        let traced = run_faulty_recorded(&c, &mut MPartitionPolicy, &plan, collector.main());
         assert_eq!(
             plain.epochs, traced.epochs,
             "tracing must not change results"
@@ -551,7 +535,7 @@ mod tests {
             traced.degradation.forced_migrations,
             "one evacuation instant per forced migration"
         );
-        // Every epoch lands as a sim.epoch span via the recorder bridge.
+        // Every epoch lands as a sim.epoch span.
         assert_eq!(trace.events_named(names::SIM_EPOCH).count(), c.epochs);
         // Crash/recovery transitions never exceed the number of crashes.
         assert!(

@@ -66,8 +66,7 @@ pub fn run_fleet_recorded<R: Recorder + Sync>(cfg: &FleetConfig, rec: &R) -> Vec
     let engine_cfg = EngineConfig::with_threads(cfg.threads);
 
     for epoch in 0..max_epochs {
-        // The clock feeds lockstep-epoch telemetry only.
-        let lockstep_started = R::ENABLED.then(std::time::Instant::now);
+        let _lockstep = rec.time(names::SIM_FLEET_EPOCH);
         // Snapshot every still-running farm into one batch.
         let mut active: Vec<usize> = Vec::new();
         let mut items: Vec<BatchItem> = Vec::new();
@@ -134,12 +133,6 @@ pub fn run_fleet_recorded<R: Recorder + Sync>(cfg: &FleetConfig, rec: &R) -> Vec
                 1,
             );
             rec.observe(names::SIM_EPOCH_NANOS, nanos);
-        }
-        if let Some(started) = lockstep_started {
-            rec.record_duration(
-                names::SIM_FLEET_EPOCH,
-                (started.elapsed().as_nanos() as u64).max(1),
-            );
         }
     }
 

@@ -34,8 +34,8 @@ pub mod workload;
 pub use adversary::{AdaptiveAdversary, Adversary, GreedyPunisher, RandomOrderAdversary};
 pub use farm::{
     run as run_farm, run_faulty as run_farm_faulty,
-    run_faulty_recorded as run_farm_faulty_recorded, run_faulty_traced as run_farm_faulty_traced,
-    run_recorded as run_farm_recorded, FarmConfig, MigrationCost, EXHAUSTED_EPOCH_WORK_TICKS,
+    run_faulty_recorded as run_farm_faulty_recorded, run_recorded as run_farm_recorded, FarmConfig,
+    MigrationCost, EXHAUSTED_EPOCH_WORK_TICKS,
 };
 pub use fleet::{run_fleet, run_fleet_recorded, FleetConfig};
 pub use metrics::{DecisionCounters, DegradationMetrics, EpochMetrics, SimReport};

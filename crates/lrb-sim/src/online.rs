@@ -316,6 +316,7 @@ pub fn run_farm_online_recorded<R: Recorder>(
 
     for epoch in 0..cfg.epochs {
         let started = Instant::now();
+        let _epoch = rec.time(names::SIM_EPOCH);
         let (arrivals, departures) = apply_churn(&mut rebalancer, &workload.epoch_events(), rec);
         let inst = rebalancer.instance();
         let step = rebalancer
@@ -347,7 +348,6 @@ pub fn run_farm_online_recorded<R: Recorder>(
             1,
         );
         rec.observe(names::SIM_EPOCH_NANOS, nanos);
-        rec.record_duration(names::SIM_EPOCH, nanos);
         rec.observe(names::ONLINE_BANKED, step.banked_after);
     }
 
@@ -403,6 +403,7 @@ pub fn run_farm_online_faulty_recorded<R: Recorder>(
 
     for epoch in 0..cfg.epochs {
         let started = Instant::now();
+        let _epoch = rec.time(names::SIM_EPOCH);
         let (arrivals, departures) = apply_churn(&mut rebalancer, &workload.epoch_events(), rec);
         let faults = plan.epoch(epoch);
         let up: Vec<usize> = (0..cfg.num_procs).filter(|&p| !faults.down[p]).collect();
@@ -524,7 +525,6 @@ pub fn run_farm_online_faulty_recorded<R: Recorder>(
             1,
         );
         rec.observe(names::SIM_EPOCH_NANOS, nanos);
-        rec.record_duration(names::SIM_EPOCH, nanos);
         rec.observe(names::ONLINE_BANKED, banked_after);
         if degraded {
             rec.incr(names::SIM_DEGRADED_EPOCHS, 1);
@@ -613,8 +613,7 @@ pub fn run_online_fleet_recorded<R: Recorder + Sync>(
     );
 
     for epoch in 0..max_epochs {
-        // The clock feeds lockstep-epoch telemetry only.
-        let lockstep_started = R::ENABLED.then(Instant::now);
+        let _lockstep = rec.time(names::SIM_FLEET_EPOCH);
         let mut active: Vec<usize> = Vec::new();
         let mut items: Vec<BatchItem> = Vec::new();
         let mut effectives: Vec<Budget> = Vec::new();
@@ -684,12 +683,6 @@ pub fn run_online_fleet_recorded<R: Recorder + Sync>(
             );
             rec.observe(names::SIM_EPOCH_NANOS, nanos);
             rec.observe(names::ONLINE_BANKED, state.rebalancer.bank().balance());
-        }
-        if let Some(started) = lockstep_started {
-            rec.record_duration(
-                names::SIM_FLEET_EPOCH,
-                (started.elapsed().as_nanos() as u64).max(1),
-            );
         }
     }
 

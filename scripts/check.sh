@@ -258,9 +258,26 @@ fi
 run cargo run -q --release --offline -p lrb-lint --bin lrb-lint -- \
     --schedules --seeds 0..8 --threads 2,4
 
-# Zero-cost tracing gate: the NoopTracer-monomorphized hot loop must stay
-# within 2% of the untraced loop (the bench asserts and aborts otherwise).
-run cargo bench -q -p lrb-bench --bench trace_overhead --offline
+# Zero-cost instrumentation gate: the NoopRecorder-monomorphized hot loop
+# (counters, histograms, spans and instants) must stay within 2% of the
+# uninstrumented loop (the bench asserts and aborts otherwise).
+run cargo bench -q -p lrb-bench --bench obs_overhead --offline
+
+# Serve drill under CPU contention: the daemon's SIGKILL/overload drills
+# and their clean-shutdown acks must hold while two busy loops compete for
+# the cores (a shutdown ack lost to a slow connection thread shows up here).
+with_cpu_hogs() {
+    yes >/dev/null &
+    local hog1=$!
+    yes >/dev/null &
+    local hog2=$!
+    local status=0
+    "$@" || status=$?
+    kill "$hog1" "$hog2" 2>/dev/null || true
+    wait "$hog1" "$hog2" 2>/dev/null || true
+    return "$status"
+}
+run with_cpu_hogs cargo test -q --offline -p lrb-cli --test serve_drill
 
 run cargo fmt --all --check
 
