@@ -182,13 +182,10 @@ fn rebalance_impl<R: Recorder>(
     drop(search_timer);
     work.charge(names::COST_PARTITION_BUILD, inst.num_jobs() as u64)?;
     let _t = rec.time(names::COST_PARTITION_BUILD);
-    run_at_impl(inst, lo, rec, s).map(|mut run| {
-        // No-regression clamp (mirrors M-PARTITION).
-        run.outcome = run
-            .outcome
-            .clone()
-            .better(RebalanceOutcome::unchanged(inst));
-        run
+    // No-regression clamp (mirrors M-PARTITION).
+    run_at_impl(inst, lo, rec, s).map(|run| CostPartitionRun {
+        outcome: run.outcome.clamp_to_initial(inst),
+        ..run
     })
 }
 

@@ -20,7 +20,7 @@
 //! `O(n)` events. The two agree by construction and by the cross-check
 //! tests here and in `tests/theorems.rs`.
 
-use crate::model::{Instance, Size};
+use crate::model::Size;
 use crate::profiles::Profiles;
 use crate::scratch::{finalize_fingerprint, size_term};
 
@@ -156,8 +156,8 @@ impl CMultiset {
 pub struct IncrementalScan<'a> {
     profiles: &'a Profiles,
     num_procs: usize,
-    /// Sorted candidate thresholds.
-    candidates: Vec<Size>,
+    /// The sorted candidate thresholds the scan walks.
+    candidates: &'a [Size],
     /// Events: `events[j]` = processors affected when the scan reaches
     /// `candidates[j]` (deduplicated).
     events: Vec<Vec<usize>>,
@@ -173,49 +173,47 @@ pub struct IncrementalScan<'a> {
 }
 
 impl<'a> IncrementalScan<'a> {
-    /// Build the scanner, positioned at the first candidate at or above
-    /// `start_at` minus one region (mirroring `mpartition`'s starting rule).
+    /// Build the scanner over `ladder`, positioned at its first threshold.
+    /// `ladder` must be a suffix of [`Profiles::candidates`], as
+    /// [`Profiles::ladder_into`] builds it for M-PARTITION.
     ///
-    /// Returns `None` when the instance has no jobs.
-    pub fn new(inst: &Instance, profiles: &'a Profiles, start_at: Size) -> Option<Self> {
-        let candidates = profiles.candidates();
-        if candidates.is_empty() {
-            return None;
-        }
-        let start = candidates
-            .partition_point(|&t| t < start_at)
-            .saturating_sub(1);
+    /// Returns `None` when the ladder is empty (an instance with no jobs).
+    pub fn new(profiles: &'a Profiles, ladder: &'a [Size]) -> Option<Self> {
+        let &t0 = ladder.first()?;
 
         // Event map: which processors does each candidate affect? A
         // candidate generated by processor p's prefix sums affects p; a
         // candidate 2·p_j affects the job's processor (small/large flip)
-        // and the global L_T (handled separately via l_t()).
-        let m = inst.num_procs();
+        // and the global L_T (handled separately via l_t()). Candidates at
+        // or below the starting threshold never fire.
+        let m = profiles.num_procs();
         let mut pairs: Vec<(Size, usize)> = Vec::new();
         for p in 0..m {
             let prof = profiles.proc(p);
             for l in 1..prof.prefix.len() {
                 let b = prof.prefix[l];
-                pairs.push((b, p));
-                pairs.push((b.saturating_mul(2), p));
                 // Job sizes are prefix differences; their doubles flip the
                 // small/large classification on this processor.
-                pairs.push((2 * (prof.prefix[l] - prof.prefix[l - 1]), p));
+                let flip = 2 * (prof.prefix[l] - prof.prefix[l - 1]);
+                for v in [b, b.saturating_mul(2), flip] {
+                    if v > t0 {
+                        pairs.push((v, p));
+                    }
+                }
             }
         }
         pairs.sort_unstable();
         pairs.dedup();
-        let mut events: Vec<Vec<usize>> = vec![Vec::new(); candidates.len()];
+        let mut events: Vec<Vec<usize>> = vec![Vec::new(); ladder.len()];
         for (v, p) in pairs {
-            // Candidates are exactly the deduplicated values, so the lookup
-            // always hits.
-            let j = candidates.partition_point(|&t| t < v);
-            debug_assert!(j < candidates.len() && candidates[j] == v);
+            // The ladder holds every candidate above its first one, so the
+            // lookup always hits.
+            let j = ladder.partition_point(|&t| t < v);
+            debug_assert!(j < ladder.len() && ladder[j] == v);
             events[j].push(p);
         }
 
-        // Initialize full state at candidates[start].
-        let t0 = candidates[start];
+        // Initialize full state at the first threshold.
         let mut state = Vec::with_capacity(m);
         let mut sum_b = 0usize;
         let mut m_l = 0usize;
@@ -223,9 +221,9 @@ impl<'a> IncrementalScan<'a> {
         let domain = (0..m).map(|p| profiles.proc(p).len()).max().unwrap_or(0) + 3;
         let mut cset = CMultiset::new(domain);
         for p in 0..m {
-            let a = profiles.a(p, t0);
-            let b = profiles.b(p, t0);
-            let hl = profiles.has_large(p, t0);
+            let prof = profiles.proc(p);
+            let (sc, a, b) = prof.eval(t0);
+            let hl = sc < prof.len();
             sum_b += b;
             m_l += usize::from(hl);
             cset.add((a as i64).saturating_sub(b as i64), 1);
@@ -235,10 +233,10 @@ impl<'a> IncrementalScan<'a> {
         Some(IncrementalScan {
             profiles,
             num_procs: m,
-            candidates,
+            candidates: ladder,
             events,
             state,
-            pos: start,
+            pos: 0,
             sum_b,
             m_l,
             cset,
@@ -281,9 +279,9 @@ impl<'a> IncrementalScan<'a> {
         let procs = std::mem::take(&mut self.events[self.pos]);
         for &p in &procs {
             let (a_old, b_old, hl_old) = self.state[p];
-            let a = self.profiles.a(p, t);
-            let b = self.profiles.b(p, t);
-            let hl = self.profiles.has_large(p, t);
+            let prof = self.profiles.proc(p);
+            let (sc, a, b) = prof.eval(t);
+            let hl = sc < prof.len();
             if (a, b, hl) != (a_old, b_old, hl_old) {
                 self.sum_b = self.sum_b.saturating_sub(b_old).saturating_add(b);
                 self.m_l = self.m_l - usize::from(hl_old) + usize::from(hl);
@@ -317,11 +315,14 @@ impl<'a> IncrementalScan<'a> {
 #[cfg(test)]
 mod tests {
     use super::*;
+    use crate::model::Instance;
     use crate::partition;
 
     fn check_against_naive(inst: &Instance) {
         let profiles = Profiles::new(inst);
-        let Some(mut scan) = IncrementalScan::new(inst, &profiles, inst.avg_load_ceil()) else {
+        let mut ladder = Vec::new();
+        profiles.ladder_into(inst.avg_load_ceil(), &mut ladder);
+        let Some(mut scan) = IncrementalScan::new(&profiles, &ladder) else {
             return;
         };
         loop {
@@ -381,7 +382,9 @@ mod tests {
             let k = rng.gen_range(0..=n);
 
             let profiles = Profiles::new(&inst);
-            let mut scan = IncrementalScan::new(&inst, &profiles, inst.avg_load_ceil()).unwrap();
+            let mut ladder = Vec::new();
+            profiles.ladder_into(inst.avg_load_ceil(), &mut ladder);
+            let mut scan = IncrementalScan::new(&profiles, &ladder).unwrap();
             let inc = scan.first_feasible(k).map(|(t, _)| t);
             let reference = rebalance_with(&inst, k, ThresholdSearch::Scan).unwrap();
             assert_eq!(inc, Some(reference.threshold), "n={n} m={m} k={k}");

@@ -171,17 +171,16 @@ fn rebalance_impl<R: Recorder>(
         // which worker's warm ladder served the item.
         let _ladder_build = rec.time(names::MPARTITION_LADDER_BUILD);
         profiles.rebuild(inst, ladder);
+        // Start at the paper's average-load guess — but because the search
+        // only evaluates candidate thresholds and behavior is constant
+        // *between* candidates, the region containing OPT may begin at the
+        // last candidate strictly below the average (Lemma 6 talks about the
+        // largest threshold not exceeding OPT). The ladder keeps that one
+        // candidate and nothing else below the average: the average load is
+        // a lower bound on OPT, and the search's answer is at most OPT.
+        profiles.ladder_into(inst.avg_load_ceil(), candidates);
     }
-    profiles.candidates_into(candidates);
-    // Start at the paper's average-load guess — but because the search only
-    // evaluates candidate thresholds and behavior is constant *between*
-    // candidates, the region containing OPT may begin at the last candidate
-    // strictly below the average (Lemma 6 talks about the largest threshold
-    // not exceeding OPT). Backing up one candidate covers that region.
-    let start = candidates
-        .partition_point(|&t| t < inst.avg_load_ceil())
-        .saturating_sub(1);
-    let cands = &candidates[start..];
+    let cands = &candidates[..];
     debug_assert!(
         !cands.is_empty(),
         "the doubled max-load candidate always qualifies"
@@ -210,12 +209,12 @@ fn rebalance_impl<R: Recorder>(
             idx
         }
         ThresholdSearch::Incremental => {
-            let mut scan =
-                crate::incremental::IncrementalScan::new(inst, profiles, inst.avg_load_ceil())
-                    .ok_or(Error::InfeasibleGuess {
-                        guess: 0,
-                        reason: "no candidate thresholds",
-                    })?;
+            let mut scan = crate::incremental::IncrementalScan::new(profiles, cands).ok_or(
+                Error::InfeasibleGuess {
+                    guess: 0,
+                    reason: "no candidate thresholds",
+                },
+            )?;
             match scan.first_feasible(k) {
                 Some((t, visited)) => {
                     probes += visited;
@@ -269,9 +268,8 @@ fn rebalance_impl<R: Recorder>(
     // No-regression clamp: if the initial assignment was already at least as
     // good, keep it (PARTITION never promises to beat the status quo; see
     // the Theorem 2 tightness example where it must not move anything).
-    let outcome = run.outcome.better(RebalanceOutcome::unchanged(inst));
     Ok(MPartitionRun {
-        outcome,
+        outcome: run.outcome.clamp_to_initial(inst),
         threshold: t,
         stats: run.stats,
         probes,

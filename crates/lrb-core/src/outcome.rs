@@ -78,12 +78,27 @@ impl RebalanceOutcome {
         self.assignment
     }
 
+    /// Ranking key: lower makespan first, then lower cost, then fewer moves.
+    fn key(&self) -> (Size, Cost, usize) {
+        (self.makespan, self.cost, self.moved.len())
+    }
+
     /// Of two outcomes for the same instance, the better one: lower makespan
     /// wins, ties broken by lower cost, then fewer moves.
     pub fn better(self, other: RebalanceOutcome) -> RebalanceOutcome {
-        let key = |o: &RebalanceOutcome| (o.makespan, o.cost, o.moved.len());
-        if key(&other) < key(&self) {
+        if other.key() < self.key() {
             other
+        } else {
+            self
+        }
+    }
+
+    /// The no-regression clamp: `self.better(RebalanceOutcome::unchanged(inst))`,
+    /// but the initial assignment is cloned only when leaving every job in
+    /// place actually wins.
+    pub fn clamp_to_initial(self, inst: &Instance) -> RebalanceOutcome {
+        if (inst.initial_makespan(), 0, 0) < self.key() {
+            RebalanceOutcome::unchanged(inst)
         } else {
             self
         }
@@ -137,5 +152,19 @@ mod tests {
         let stay = RebalanceOutcome::unchanged(&inst2);
         let swap = RebalanceOutcome::from_assignment(&inst2, vec![1, 0]).unwrap();
         assert_eq!(stay.clone().better(swap).moves(), 0);
+    }
+
+    #[test]
+    fn clamp_to_initial_agrees_with_better_unchanged() {
+        let inst = toy();
+        let unchanged = RebalanceOutcome::unchanged(&inst);
+        // Worse (makespan 12), better (7), and equal-makespan-with-moves (8).
+        for assignment in [vec![0, 0, 0], vec![0, 1, 1], vec![1, 1, 0]] {
+            let out = RebalanceOutcome::from_assignment(&inst, assignment).unwrap();
+            assert_eq!(
+                out.clone().clamp_to_initial(&inst),
+                out.better(unchanged.clone())
+            );
+        }
     }
 }

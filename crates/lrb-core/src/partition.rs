@@ -83,21 +83,26 @@ pub(crate) fn planned_moves_with(
     if l_t > m {
         return None;
     }
-    let m_l = profiles.m_l(t);
-    let l_e = l_t.saturating_sub(m_l);
-
-    let mut base = l_e;
-    // Σ b_i over all processors, plus the selected processors' c_i.
+    // One pass: m_L, Σ b_i over all processors, and every c_i.
+    let (mut m_l, mut sum_b) = (0usize, 0usize);
     cs.clear();
     cs.extend((0..m).map(|p| {
-        base += profiles.b(p, t);
-        (profiles.c(p, t), !profiles.has_large(p, t), p)
+        let prof = profiles.proc(p);
+        let (sc, a, b) = prof.eval(t);
+        let has_large = sc < prof.len();
+        m_l += usize::from(has_large);
+        sum_b += b;
+        (a as i64 - b as i64, !has_large, p)
     }));
-    // Smallest c first; ties prefer large-holding processors (false < true).
-    cs.sort_unstable();
-    let selected_extra: i64 = cs.iter().take(l_t).map(|&(c, _, _)| c).sum();
-    // base + Σ_selected (a_i − b_i) = L_E + Σ_sel a_i + Σ_unsel b_i.
-    Some((base as i64).saturating_add(selected_extra) as usize)
+    let l_e = l_t.saturating_sub(m_l);
+    // Only the sum of the L_T smallest c_i matters here, and it does not
+    // depend on how ties are ordered, so a selection replaces the sort.
+    if l_t < m {
+        cs.select_nth_unstable(l_t);
+    }
+    let selected_extra: i64 = cs[..l_t].iter().map(|&(c, _, _)| c).sum();
+    // L_E + Σ b_i + Σ_selected (a_i − b_i) = L_E + Σ_sel a_i + Σ_unsel b_i.
+    Some((l_e.saturating_add(sum_b) as i64).saturating_add(selected_extra) as usize)
 }
 
 /// Run PARTITION at makespan guess `t`.
@@ -142,9 +147,6 @@ pub(crate) fn run_impl<R: Recorder>(
             reason: "more large jobs than processors",
         });
     }
-    let m_l = profiles.m_l(t);
-    let l_e = l_t.saturating_sub(m_l);
-
     let mut assignment = inst.initial().clone();
     s.reset(m);
     s.loads.clear();
@@ -153,13 +155,17 @@ pub(crate) fn run_impl<R: Recorder>(
 
     // Step 1: strip extra large jobs, keeping the smallest large per
     // processor. Profiles sort each processor's jobs ascending, so the kept
-    // large is the first one past the small prefix.
+    // large is the first one past the small prefix. Each processor's
+    // (small_count, a_i, b_i) is evaluated once here and reused by Steps 2-4.
     // kept_large[p] = Some(job) for processors holding a large after Step 1.
     let step1 = rec.time(names::PARTITION_STEP1_STRIP);
+    let mut m_l = 0usize;
     for p in 0..m {
         let prof = profiles.proc(p);
-        let sc = profiles.small_count(p, t);
+        let (sc, a, b) = prof.eval(t);
+        s.evals.push((sc, a, b));
         if sc < prof.len() {
+            m_l += 1;
             s.kept_large[p] = Some(prof.jobs_asc[sc]);
             for &j in &prof.jobs_asc[sc.saturating_add(1)..] {
                 s.homeless_large.push(j);
@@ -168,13 +174,19 @@ pub(crate) fn run_impl<R: Recorder>(
             }
         }
     }
+    let l_e = l_t.saturating_sub(m_l);
     debug_assert_eq!(planned, l_e);
     drop(step1);
 
     // Step 2 + 3: rank processors by c_i and select L_T of them.
     let step2 = rec.time(names::PARTITION_STEP2_RANK);
     s.cs.clear();
-    s.cs.extend((0..m).map(|p| (profiles.c(p, t), s.kept_large[p].is_none(), p)));
+    s.cs.extend(
+        s.evals
+            .iter()
+            .enumerate()
+            .map(|(p, &(_, a, b))| (a as i64 - b as i64, s.kept_large[p].is_none(), p)),
+    );
     s.cs.sort_unstable();
     for &(_, _, p) in s.cs.iter().take(l_t) {
         s.is_selected[p] = true;
@@ -184,12 +196,11 @@ pub(crate) fn run_impl<R: Recorder>(
 
     for p in 0..m {
         let prof = profiles.proc(p);
-        let sc = profiles.small_count(p, t);
+        let (sc, a, b) = s.evals[p];
         if s.is_selected[p] {
             // Step 3: shed the a_i largest small jobs (end of the small
             // prefix), keeping the large job if present.
             let _t = rec.time(names::PARTITION_STEP3_SHED_SELECTED);
-            let a = profiles.a(p, t);
             for &j in &prof.jobs_asc[sc.saturating_sub(a)..sc] {
                 s.removed_small.push(j);
                 s.loads[p] -= inst.size(j);
@@ -199,7 +210,6 @@ pub(crate) fn run_impl<R: Recorder>(
             // Step 4: shed the kept large (mandatory) plus largest-first
             // small jobs until the small total fits in t.
             let _t = rec.time(names::PARTITION_STEP4_SHED_UNSELECTED);
-            let b = profiles.b(p, t);
             let mut small_removals = b;
             if let Some(j) = s.kept_large[p] {
                 s.homeless_large.push(j);

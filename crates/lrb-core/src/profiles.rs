@@ -13,6 +13,10 @@
 //!   load at most `T`;
 //! * `L_T`, `m_L`, `L_E` — the global large-job counts of Definition 1.
 //!
+//! [`ProcProfile::eval`] returns a processor's small-job count, `a_i` and
+//! `b_i` from one small-count search, so PARTITION and every threshold
+//! probe visit each processor once per guess.
+//!
 //! `b_i` here is the "forced large removal" variant: the paper defines `b_i`
 //! without forcing the large job out when the load already fits, and then
 //! relies on tie-breaking to ensure such processors are selected. Forcing
@@ -53,6 +57,46 @@ impl ProcProfile {
     /// Total initial load.
     pub fn load(&self) -> Size {
         *self.prefix.last().unwrap_or(&0)
+    }
+
+    /// `(small_count, a_i, b_i)` at guess `t` — everything PARTITION needs
+    /// from one processor — from a single small-count search. The processor
+    /// holds a large job iff `small_count < len()`.
+    ///
+    /// * `a_i(t)`: the minimum number of small jobs to remove so the
+    ///   remaining small jobs total at most `t/2`. Removing largest-first is
+    ///   optimal for minimizing the count, and the smalls are a prefix, so
+    ///   this is `small_count − max{l : 2·prefix[l] ≤ t}`.
+    /// * `b_i(t)`, forced variant: the number of removals after which the
+    ///   processor (in its post-Step-1 state, i.e. at most one large job) is
+    ///   large-free with total load at most `t` — one removal for the kept
+    ///   large job if any, plus largest-first small removals until the small
+    ///   total is at most `t`.
+    pub fn eval(&self, t: Size) -> (usize, usize, usize) {
+        // The small jobs form a prefix of the ascending job list. The size
+        // of the job at index i is prefix[i+1] − prefix[i]; sizes ascend
+        // with i, so binary search for the first large one.
+        let (mut lo, mut hi) = (0usize, self.len());
+        while lo < hi {
+            let mid = (lo + hi) / 2;
+            if 2 * (self.prefix[mid + 1] - self.prefix[mid]) <= t {
+                lo = mid + 1;
+            } else {
+                hi = mid;
+            }
+        }
+        let sc = lo;
+        let smalls = &self.prefix[..=sc];
+        // Both keep counts index the same ascending prefix sums, and
+        // 2·s ≤ t implies s ≤ t, so the full-load keep count starts its
+        // search at the half-load one.
+        let keep_half = smalls.partition_point(|&s| 2 * s <= t);
+        let keep_full = keep_half.saturating_add(smalls[keep_half..].partition_point(|&s| s <= t));
+        let a = sc.saturating_sub(keep_half.saturating_sub(1));
+        let b = sc
+            .saturating_sub(keep_full.saturating_sub(1))
+            .saturating_add(usize::from(sc < self.len()));
+        (sc, a, b)
     }
 }
 
@@ -118,95 +162,42 @@ impl Profiles {
         self.sizes_asc.len().saturating_sub(boundary)
     }
 
-    /// Number of small jobs on processor `p` at guess `t` (they form a
-    /// prefix of the ascending job list).
-    pub fn small_count(&self, p: ProcId, t: Size) -> usize {
-        let prof = &self.per_proc[p];
-        // The size of the job at index i is prefix[i+1] − prefix[i]; sizes
-        // ascend with i, so binary search for the first large one.
-        let (mut lo, mut hi) = (0usize, prof.len());
-        while lo < hi {
-            let mid = (lo + hi) / 2;
-            if 2 * (prof.prefix[mid + 1] - prof.prefix[mid]) <= t {
-                lo = mid + 1;
-            } else {
-                hi = mid;
-            }
-        }
-        lo
-    }
-
-    /// `a_i(t)`: minimum number of small jobs to remove from `p` so the
-    /// remaining small jobs total at most `t/2`. Removing largest-first is
-    /// optimal for minimizing the count, and the smalls are a prefix, so
-    /// this is `small_count − max{l : 2·prefix[l] ≤ t}`.
-    pub fn a(&self, p: ProcId, t: Size) -> usize {
-        let sc = self.small_count(p, t);
-        let prof = &self.per_proc[p];
-        let keep = prof.prefix[..=sc]
-            .partition_point(|&s| 2 * s <= t)
-            .saturating_sub(1);
-        sc.saturating_sub(keep)
-    }
-
-    /// `b_i(t)` in the forced variant: number of removals after which
-    /// processor `p` (in its post-Step-1 state, i.e. at most one large job)
-    /// is large-free with total load at most `t`. One removal for the kept
-    /// large job if any, plus largest-first small removals until the small
-    /// total is at most `t`.
-    pub fn b(&self, p: ProcId, t: Size) -> usize {
-        let sc = self.small_count(p, t);
-        let prof = &self.per_proc[p];
-        let keep = prof.prefix[..=sc]
-            .partition_point(|&s| s <= t)
-            .saturating_sub(1);
-        let has_large = sc < prof.len();
-        sc.saturating_sub(keep)
-            .saturating_add(usize::from(has_large))
-    }
-
-    /// `c_i(t) = a_i(t) − b_i(t)` (can be −1 for processors with a large
-    /// job).
-    pub fn c(&self, p: ProcId, t: Size) -> i64 {
-        self.a(p, t) as i64 - self.b(p, t) as i64
-    }
-
-    /// True if processor `p` holds at least one large job at guess `t`.
-    pub fn has_large(&self, p: ProcId, t: Size) -> bool {
-        self.small_count(p, t) < self.per_proc[p].len()
-    }
-
-    /// Number of processors with at least one large job (`m_L`).
-    pub fn m_l(&self, t: Size) -> usize {
-        (0..self.per_proc.len())
-            .filter(|&p| self.has_large(p, t))
-            .count()
-    }
-
     /// Sorted, deduplicated candidate thresholds (Lemma 5): between two
     /// consecutive values every `L_T`, `a_i`, `b_i` is constant. Contains
     /// `2·p_j` for every job and `B_l`, `2·B_l` for every per-processor
     /// ascending prefix sum.
     pub fn candidates(&self) -> Vec<Size> {
         let mut cands = Vec::new();
-        self.candidates_into(&mut cands);
+        self.ladder_into(0, &mut cands);
         cands
     }
 
-    /// [`Profiles::candidates`] into a caller-owned buffer (cleared first),
-    /// so batch solvers reuse the allocation across instances.
-    pub fn candidates_into(&self, out: &mut Vec<Size>) {
+    /// The candidates M-PARTITION searches from `floor` into a caller-owned
+    /// buffer (cleared first): every [candidate](Self::candidates) at or
+    /// above `floor` plus the largest one below it, sorted and
+    /// deduplicated — i.e. `candidates()[start..]` where `start` indexes the
+    /// last candidate below `floor` (0 if there is none).
+    ///
+    /// Every source list (the doubled sizes, each processor's prefix sums
+    /// and their doubles) ascends, so the part below `floor` is skipped by
+    /// binary search rather than built and sorted.
+    pub fn ladder_into(&self, floor: Size, out: &mut Vec<Size>) {
         out.clear();
-        out.reserve(3 * self.sizes_asc.len());
-        for &s in &self.sizes_asc {
-            out.push(2 * s);
-        }
-        for prof in &self.per_proc {
-            for &b in &prof.prefix[1..] {
-                out.push(b);
-                out.push(2 * b);
+        // The largest candidate strictly below `floor`, if any.
+        let mut below: Option<Size> = None;
+        let mut take = |asc: &[Size], scale: Size, out: &mut Vec<Size>| {
+            let cut = asc.partition_point(|&v| scale * v < floor);
+            if let Some(&v) = cut.checked_sub(1).and_then(|i| asc.get(i)) {
+                below = below.max(Some(scale * v));
             }
+            out.extend(asc[cut..].iter().map(|&v| scale * v));
+        };
+        take(&self.sizes_asc, 2, out);
+        for prof in &self.per_proc {
+            take(&prof.prefix[1..], 1, out);
+            take(&prof.prefix[1..], 2, out);
         }
+        out.extend(below);
         out.sort_unstable();
         out.dedup();
     }
@@ -219,6 +210,18 @@ mod tests {
     /// proc 0: sizes `[2, 3, 7]`; proc 1: sizes `[4]`.
     fn inst() -> Instance {
         Instance::from_sizes(&[7, 2, 3, 4], vec![0, 0, 0, 1], 2).unwrap()
+    }
+
+    fn small_count(p: &Profiles, proc: ProcId, t: Size) -> usize {
+        p.proc(proc).eval(t).0
+    }
+
+    fn a(p: &Profiles, proc: ProcId, t: Size) -> usize {
+        p.proc(proc).eval(t).1
+    }
+
+    fn b(p: &Profiles, proc: ProcId, t: Size) -> usize {
+        p.proc(proc).eval(t).2
     }
 
     #[test]
@@ -238,19 +241,19 @@ mod tests {
         assert_eq!(p.l_t(8), 1);
         // t=14: none large (2*7=14 <= 14).
         assert_eq!(p.l_t(14), 0);
-        assert_eq!(p.m_l(6), 2);
-        assert_eq!(p.m_l(8), 1);
-        assert!(p.has_large(0, 8));
-        assert!(!p.has_large(1, 8));
+        // Processor 0 keeps 7 large at t=8 (small_count 2 of 3 jobs);
+        // processor 1's 4 is small there (2·4 = 8).
+        assert_eq!(p.proc(0).eval(8).0, 2);
+        assert_eq!(p.proc(1).eval(8).0, p.proc(1).len());
     }
 
     #[test]
     fn small_counts_are_prefixes() {
         let p = Profiles::new(&inst());
         // proc0 ascending sizes [2,3,7]; t=6 -> smalls {2,3}.
-        assert_eq!(p.small_count(0, 6), 2);
-        assert_eq!(p.small_count(0, 14), 3);
-        assert_eq!(p.small_count(1, 8), 1);
+        assert_eq!(small_count(&p, 0, 6), 2);
+        assert_eq!(small_count(&p, 0, 14), 3);
+        assert_eq!(small_count(&p, 1, 8), 1);
     }
 
     #[test]
@@ -258,43 +261,55 @@ mod tests {
         let p = Profiles::new(&inst());
         // size s is small iff 2s <= t. At t = 4, size 2 is small (4<=4),
         // size 3 is large (6>4).
-        assert_eq!(p.small_count(0, 4), 1);
+        assert_eq!(small_count(&p, 0, 4), 1);
         // At t = 3, size 2 is large (4 > 3).
-        assert_eq!(p.small_count(0, 3), 0);
+        assert_eq!(small_count(&p, 0, 3), 0);
     }
 
     #[test]
     fn a_counts_small_removals_to_half() {
         let p = Profiles::new(&inst());
         // t=10: smalls on proc0 = {2,3} (7 is large), small total 5 <= 5 = t/2: a=0.
-        assert_eq!(p.a(0, 10), 0);
+        assert_eq!(a(&p, 0, 10), 0);
         // t=8: smalls {2,3} total 5 > 4; removing 3 leaves 2 <= 4: a=1.
-        assert_eq!(p.a(0, 8), 1);
+        assert_eq!(a(&p, 0, 8), 1);
         // t=14: smalls {2,3,7} total 12 > 7; remove 7 -> 5 <= 7: a=1.
-        assert_eq!(p.a(0, 14), 1);
+        assert_eq!(a(&p, 0, 14), 1);
     }
 
     #[test]
     fn b_forces_large_removal() {
         let p = Profiles::new(&inst());
         // t=8: proc0 has large 7 (forced removal) + smalls {2,3} total 5 <= 8: b=1.
-        assert_eq!(p.b(0, 8), 1);
+        assert_eq!(b(&p, 0, 8), 1);
         // t=4: smalls {2}, larges {3,7}: post-Step-1 one large kept -> forced 1;
         // small total 2 <= 4: b=1.
-        assert_eq!(p.b(0, 4), 1);
+        assert_eq!(b(&p, 0, 4), 1);
         // t=14: no larges; total 12 <= 14: b=0.
-        assert_eq!(p.b(0, 14), 0);
+        assert_eq!(b(&p, 0, 14), 0);
         // proc1 t=8: large 4? 2*4=8 <= 8 -> small. total 4 <= 8: b=0.
-        assert_eq!(p.b(1, 8), 0);
+        assert_eq!(b(&p, 1, 8), 0);
     }
 
     #[test]
-    fn c_can_be_negative_only_with_large() {
+    fn a_can_be_below_b_only_with_large() {
         let p = Profiles::new(&inst());
-        // t=10: a(0)=0, b(0)=1 -> c=-1.
-        assert_eq!(p.c(0, 10), -1);
-        // Large-free processors have a >= b so c >= 0.
-        assert!(p.c(1, 10) >= 0);
+        // t=10: proc 0 keeps its large 7, so a = 0 < b = 1.
+        assert_eq!(p.proc(0).eval(10), (2, 0, 1));
+        // Large-free processors have a >= b.
+        assert!(a(&p, 1, 10) >= b(&p, 1, 10));
+    }
+
+    #[test]
+    fn ladder_is_the_candidate_suffix_from_the_last_one_below_the_floor() {
+        let p = Profiles::new(&inst());
+        let all = p.candidates();
+        let mut ladder = Vec::new();
+        for floor in 0..=all.last().unwrap() + 1 {
+            p.ladder_into(floor, &mut ladder);
+            let start = all.partition_point(|&t| t < floor).saturating_sub(1);
+            assert_eq!(ladder, all[start..], "floor={floor}");
+        }
     }
 
     #[test]
@@ -316,13 +331,13 @@ mod tests {
                 assert_eq!(p.l_t(lo), p.l_t(mid), "L_T changed inside ({lo},{hi})");
                 for proc in 0..2 {
                     assert_eq!(
-                        p.a(proc, lo),
-                        p.a(proc, mid),
+                        a(&p, proc, lo),
+                        a(&p, proc, mid),
                         "a changed inside ({lo},{hi})"
                     );
                     assert_eq!(
-                        p.b(proc, lo),
-                        p.b(proc, mid),
+                        b(&p, proc, lo),
+                        b(&p, proc, mid),
                         "b changed inside ({lo},{hi})"
                     );
                 }
@@ -336,8 +351,8 @@ mod tests {
         let t = *p.candidates().last().unwrap();
         assert_eq!(p.l_t(t), 0);
         for proc in 0..2 {
-            assert_eq!(p.a(proc, t), 0);
-            assert_eq!(p.b(proc, t), 0);
+            assert_eq!(a(&p, proc, t), 0);
+            assert_eq!(b(&p, proc, t), 0);
         }
     }
 
@@ -369,7 +384,7 @@ mod tests {
         let inst = Instance::from_sizes(&[5], vec![0], 3).unwrap();
         let p = Profiles::new(&inst);
         assert!(p.proc(1).is_empty());
-        assert_eq!(p.a(1, 10), 0);
-        assert_eq!(p.b(1, 10), 0);
+        assert_eq!(a(&p, 1, 10), 0);
+        assert_eq!(b(&p, 1, 10), 0);
     }
 }

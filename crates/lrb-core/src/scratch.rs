@@ -99,6 +99,8 @@ pub(crate) struct PartitionScratch {
     pub loads: Vec<Size>,
     /// Step 1: the kept (smallest) large job per processor, if any.
     pub kept_large: Vec<Option<JobId>>,
+    /// Steps 1-4: each processor's `(small_count, a_i, b_i)` at the guess.
+    pub evals: Vec<(usize, usize, usize)>,
     /// Step 2/3 ranking buffer: `(c_i, no-large tiebreak, proc)`.
     pub cs: Vec<(i64, bool, ProcId)>,
     /// Step 3 selection flags.
@@ -124,6 +126,7 @@ impl PartitionScratch {
         self.is_selected.resize(m, false);
         self.keeps_large.clear();
         self.keeps_large.resize(m, false);
+        self.evals.clear();
         self.cs.clear();
         self.homeless_large.clear();
         self.removed_small.clear();

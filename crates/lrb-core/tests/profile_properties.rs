@@ -17,6 +17,13 @@ fn instance_and_guess() -> impl Strategy<Value = (Instance, u64)> {
     })
 }
 
+/// Brute force small count: the jobs on `p` with `2·size ≤ t`.
+fn brute_small_count(inst: &Instance, p: usize, t: u64) -> usize {
+    (0..inst.num_jobs())
+        .filter(|&j| inst.initial_proc(j) == p && 2 * inst.size(j) <= t)
+        .count()
+}
+
 /// Brute force `a_i`: try every removal count r, removing the r largest
 /// small jobs, until the remaining small total fits t/2.
 fn brute_a(inst: &Instance, p: usize, t: u64) -> usize {
@@ -65,7 +72,7 @@ proptest! {
     fn a_matches_brute_force((inst, t) in instance_and_guess()) {
         let profiles = Profiles::new(&inst);
         for p in 0..inst.num_procs() {
-            prop_assert_eq!(profiles.a(p, t), brute_a(&inst, p, t), "p={} t={}", p, t);
+            prop_assert_eq!(profiles.proc(p).eval(t).1, brute_a(&inst, p, t), "p={} t={}", p, t);
         }
     }
 
@@ -73,7 +80,7 @@ proptest! {
     fn b_matches_brute_force((inst, t) in instance_and_guess()) {
         let profiles = Profiles::new(&inst);
         for p in 0..inst.num_procs() {
-            prop_assert_eq!(profiles.b(p, t), brute_b(&inst, p, t), "p={} t={}", p, t);
+            prop_assert_eq!(profiles.proc(p).eval(t).2, brute_b(&inst, p, t), "p={} t={}", p, t);
         }
     }
 
@@ -88,7 +95,47 @@ proptest! {
                     .any(|j| inst.initial_proc(j) == p && 2 * inst.size(j) > t)
             })
             .count();
-        prop_assert_eq!(profiles.m_l(t), m_l_brute);
+        let m_l = (0..inst.num_procs())
+            .filter(|&p| profiles.proc(p).eval(t).0 < profiles.proc(p).len())
+            .count();
+        prop_assert_eq!(m_l, m_l_brute);
+    }
+
+    /// The single-pass evaluation equals the brute-force small count,
+    /// `a_i` and `b_i` at every candidate threshold and one either side —
+    /// where the three quantities step.
+    #[test]
+    fn eval_matches_brute_force_around_candidates((inst, _t) in instance_and_guess()) {
+        let profiles = Profiles::new(&inst);
+        for c in profiles.candidates() {
+            for t in [c.saturating_sub(1), c, c + 1] {
+                for p in 0..inst.num_procs() {
+                    prop_assert_eq!(
+                        profiles.proc(p).eval(t),
+                        (
+                            brute_small_count(&inst, p, t),
+                            brute_a(&inst, p, t),
+                            brute_b(&inst, p, t),
+                        ),
+                        "p={} t={}", p, t
+                    );
+                }
+            }
+        }
+    }
+
+    /// M-PARTITION's ladder cut at a floor is the full candidate list from
+    /// the last candidate below the floor on (the first one if none is).
+    #[test]
+    fn ladder_is_the_candidate_suffix_from_the_floor((inst, t) in instance_and_guess()) {
+        let profiles = Profiles::new(&inst);
+        let all = profiles.candidates();
+        let mut ladder = Vec::new();
+        for floor in [0, t, inst.avg_load_ceil(), all.last().map_or(0, |&c| c + 1)] {
+            profiles.ladder_into(floor, &mut ladder);
+            let start = all.partition_point(|&c| c < floor).saturating_sub(1);
+            prop_assert_eq!(&ladder[..], &all[start..], "floor={}", floor);
+        }
     }
 
     /// Lemma 5 as a property: between consecutive candidate thresholds,
@@ -102,8 +149,7 @@ proptest! {
                 let (lo, mid) = (w[0], w[0] + (w[1] - w[0]) / 2);
                 prop_assert_eq!(profiles.l_t(lo), profiles.l_t(mid));
                 for p in 0..inst.num_procs() {
-                    prop_assert_eq!(profiles.a(p, lo), profiles.a(p, mid));
-                    prop_assert_eq!(profiles.b(p, lo), profiles.b(p, mid));
+                    prop_assert_eq!(profiles.proc(p).eval(lo), profiles.proc(p).eval(mid));
                 }
             }
         }

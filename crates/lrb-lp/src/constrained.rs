@@ -55,7 +55,7 @@ pub fn rebalance(cinst: &ConstrainedInstance, budget: Cost) -> Result<StRun> {
             );
             let outcome = RebalanceOutcome::from_assignment(inst, assignment)?;
             if outcome.cost() <= budget {
-                let outcome = outcome.better(RebalanceOutcome::unchanged(inst));
+                let outcome = outcome.clamp_to_initial(inst);
                 return Ok(StRun {
                     outcome,
                     guess: t,

@@ -76,7 +76,7 @@ pub fn rebalance(inst: &Instance, budget: Cost) -> Result<StRun> {
             let assignment = round(inst, &frac);
             let outcome = RebalanceOutcome::from_assignment(inst, assignment)?;
             if outcome.cost() <= budget {
-                let outcome = outcome.better(RebalanceOutcome::unchanged(inst));
+                let outcome = outcome.clamp_to_initial(inst);
                 return Ok(StRun {
                     outcome,
                     guess: t,

@@ -27,6 +27,11 @@ run cargo test -q --workspace --offline
 # regression impossible to miss in the log).
 run cargo test -q --release --offline --test differential
 run cargo test -q --release --offline --test metamorphic
+# M-PARTITION golden digest: threshold, probes, selection, planned moves
+# and assignment over a seeded corpus under every search strategy must stay
+# bit-identical to the recorded value (a hot-path speed-up may not change
+# what the search probes or returns).
+run cargo test -q --release --offline --test mpartition_golden
 # Online-vs-batch equivalence (PR-5): every checkpoint of the streaming
 # subsystem must be bit-identical to a from-scratch batch solve at every
 # engine thread count. Seeded streams, ~a second in release — well inside
@@ -46,6 +51,10 @@ run cargo test -q --release --offline --test metamorphic_hetero
 # thread invariance) must all hold.
 run cargo test -q --release --offline --test differential_online
 run cargo test -q --release --offline --test metamorphic_online_policies
+
+# Repository benchmark smoke suite: every perfbench workload at a tiny
+# size, checking engine and serve outcomes end to end.
+run cargo test -q --release --offline --manifest-path perfbench/Cargo.toml
 
 # Bench smoke test: `lrb bench --smoke` must finish quickly and emit a
 # schema-versioned BENCH_4-style report with a thread-scaling curve.
