@@ -1281,11 +1281,16 @@ mod tests {
     #[test]
     fn bench_live_run_against_its_own_baseline_passes() {
         // Live runs are noisy; a same-seed 1-thread smoke run stays well
-        // within a generous 90% threshold of itself.
+        // within a generous 90% threshold of itself. One smoke pass is only
+        // 16 solves, so its p99 is their maximum and a single preemption
+        // would set it: 64 repeats give each run 1024 latency samples.
         let path = tmpfile("bench-live-base.json");
-        run(&format!("bench --smoke --threads 1 --seed 3 --out {path}")).unwrap();
+        run(&format!(
+            "bench --smoke --threads 1 --repeat 64 --seed 3 --out {path}"
+        ))
+        .unwrap();
         let out = run(&format!(
-            "bench --smoke --threads 1 --seed 3 --baseline {path} --threshold 0.9"
+            "bench --smoke --threads 1 --repeat 64 --seed 3 --baseline {path} --threshold 0.9"
         ))
         .unwrap();
         assert!(out.contains("baseline comparison"), "{out}");

@@ -162,7 +162,6 @@ fn rebalance_impl<R: Recorder>(
         profiles,
         candidates,
         partition: pscratch,
-        ladder,
         ..
     } = scratch;
     {
@@ -170,7 +169,7 @@ fn rebalance_impl<R: Recorder>(
         // count — and hence a trace's determinism hash — is independent of
         // which worker's warm ladder served the item.
         let _ladder_build = rec.time(names::MPARTITION_LADDER_BUILD);
-        profiles.rebuild(inst, ladder);
+        profiles.rebuild(inst);
         // Start at the paper's average-load guess — but because the search
         // only evaluates candidate thresholds and behavior is constant
         // *between* candidates, the region containing OPT may begin at the
@@ -280,6 +279,7 @@ fn rebalance_impl<R: Recorder>(
 mod tests {
     use super::*;
     use crate::bounds::within_ratio;
+    use crate::profiles::Profiles;
 
     #[test]
     fn all_searches_agree_on_threshold() {
@@ -425,10 +425,17 @@ mod tests {
                     reused.outcome.assignment(),
                     "k={k}"
                 );
+                let built = Profiles::new(inst);
+                assert_eq!(scratch.profiles().candidates(), built.candidates());
+                for p in 0..inst.num_procs() {
+                    assert_eq!(scratch.profiles().proc(p).jobs_asc, built.proc(p).jobs_asc);
+                }
             }
         }
-        assert!(scratch.ladder_hits() > 0);
-        assert!(scratch.ladder_misses() >= 2);
+        // One miss per new multiset (`base`, `other`); every other solve,
+        // `alt` included, reuses the cached job order.
+        assert_eq!(scratch.ladder_hits(), 18);
+        assert_eq!(scratch.ladder_misses(), 2);
     }
 
     #[test]

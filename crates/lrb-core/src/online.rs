@@ -3,10 +3,9 @@
 //! The paper solves a one-shot rebalance, but its motivating web-farm
 //! scenario is online: jobs arrive and depart between rebalance rounds, and
 //! migration stays scarce. This module maintains a live instance
-//! incrementally — sorted job-key index, per-processor loads, and a
-//! [`SizeMultiset`] that keeps the M-PARTITION threshold ladder warm across
-//! events — and runs the batch solvers at rebalance events under an
-//! *amortized* move budget: a [`MoveBank`] accrues a configurable number of
+//! incrementally — sorted job-key index and per-processor loads, with one
+//! solver [`Scratch`] kept warm across events — and runs the batch solvers
+//! at rebalance events under an *amortized* move budget: a [`MoveBank`] accrues a configurable number of
 //! budget units per rebalance event up to a cap, and each rebalance may
 //! spend at most `min(requested, banked)` units (the amortized-migration
 //! lens of Albers & Hellwig and of Westbrook's earlier formulation).
@@ -15,8 +14,8 @@
 //!
 //! At any point, [`OnlineRebalancer::instance`] is a plain [`Instance`] and
 //! a rebalance is *exactly* a batch solve of that snapshot with the
-//! effective budget: the incremental structures (ladder priming, sorted
-//! multiset) change only performance, never the answer. Tests replay event
+//! effective budget: the incremental structures (key index, loads, the warm
+//! scratch) change only bookkeeping, never the answer. Tests replay event
 //! streams and assert checkpoint-by-checkpoint bit-identity against
 //! from-scratch batch solves; see DESIGN.md §10.
 //!
@@ -36,7 +35,6 @@
 
 use crate::cost_partition;
 use crate::error::{Error, Result};
-use crate::incremental::SizeMultiset;
 use crate::model::{Budget, Instance, Job, ProcId, Size};
 use crate::mpartition;
 use crate::outcome::RebalanceOutcome;
@@ -414,9 +412,12 @@ pub struct OnlineStats {
     pub departures: u64,
     /// Rebalance events applied.
     pub rebalances: u64,
-    /// Rebalances that reused the incrementally maintained threshold ladder.
+    /// Rebalances of a non-empty instance under a move budget: M-PARTITION
+    /// solves on the rebalancer's warm scratch, whose cached job order
+    /// carries over between events.
     pub incremental_updates: u64,
-    /// Rebalances that rebuilt solver state from scratch.
+    /// Rebalances under a cost budget, whose knapsack state is rebuilt
+    /// from scratch on every event.
     pub full_rebuilds: u64,
     /// Jobs actually migrated (solver moves plus forced moves).
     pub moves_performed: u64,
@@ -435,7 +436,8 @@ pub struct RebalanceStep {
     pub banked_before: u64,
     /// Bank balance after accrual and spending.
     pub banked_after: u64,
-    /// Whether the solver reused the incrementally maintained ladder.
+    /// Whether this was an incremental update (see
+    /// [`OnlineStats::incremental_updates`]).
     pub incremental: bool,
 }
 
@@ -455,8 +457,7 @@ pub struct Commit {
 /// Jobs are addressed by caller-chosen [`JobKey`]s. Internally the
 /// rebalancer keeps parallel arrays sorted by key (so snapshots are
 /// canonical regardless of event order within an epoch), per-processor
-/// loads, and a [`SizeMultiset`] priming the threshold-ladder cache of its
-/// private [`Scratch`].
+/// loads, and a private [`Scratch`] reused by every rebalance.
 ///
 /// The rebalancer is generic over its [`MigrationPolicy`], defaulting to
 /// [`MoveBank`] so existing call sites need no type annotation and behave
@@ -470,7 +471,6 @@ pub struct OnlineRebalancer<P: MigrationPolicy = MoveBank> {
     jobs: Vec<Job>,
     assignment: Vec<ProcId>,
     loads: Vec<Size>,
-    multiset: SizeMultiset,
     bank: P,
     scratch: Scratch,
     stats: OnlineStats,
@@ -486,9 +486,9 @@ impl OnlineRebalancer {
     /// Rebuild a rebalancer from persisted state (crash recovery): the
     /// live jobs with their placements, plus the bank and counters as
     /// snapshotted. Equivalent to arriving every job in order and then
-    /// overwriting the audit state — the sorted-key index, loads, and
-    /// size multiset are reconstructed exactly, and the threshold-ladder
-    /// scratch starts cold (a pure cache, so answers are unaffected).
+    /// overwriting the audit state — the sorted-key index and loads are
+    /// reconstructed exactly, and the solver scratch starts cold (a pure
+    /// cache, so answers are unaffected).
     pub fn restore(
         num_procs: usize,
         jobs: &[(JobKey, Job, ProcId)],
@@ -518,7 +518,6 @@ impl<P: MigrationPolicy> OnlineRebalancer<P> {
             jobs: Vec::new(),
             assignment: Vec::new(),
             loads: vec![0; num_procs],
-            multiset: SizeMultiset::new(),
             bank: policy,
             scratch: Scratch::new(),
             stats: OnlineStats::default(),
@@ -551,7 +550,6 @@ impl<P: MigrationPolicy> OnlineRebalancer<P> {
         self.jobs.insert(at, job);
         self.assignment.insert(at, proc);
         self.loads[proc] = self.loads[proc].saturating_add(job.size);
-        self.multiset.insert(job.size);
         self.bank.on_arrival(job.size);
         self.stats.events += 1;
         self.stats.arrivals += 1;
@@ -568,8 +566,6 @@ impl<P: MigrationPolicy> OnlineRebalancer<P> {
         let job = self.jobs.remove(at);
         let proc = self.assignment.remove(at);
         self.loads[proc] = self.loads[proc].saturating_sub(job.size);
-        let removed = self.multiset.remove(job.size);
-        debug_assert!(removed, "multiset missing a live job's size");
         self.stats.events += 1;
         self.stats.departures += 1;
         Ok(job)
@@ -657,10 +653,10 @@ impl<P: MigrationPolicy> OnlineRebalancer<P> {
     /// Run a full rebalance event: accrue the bank, solve the current
     /// snapshot with the effective budget, and commit the result.
     ///
-    /// `Budget::Moves` solves via [`mpartition`] (and reuses the primed
-    /// threshold ladder — an *incremental update*); `Budget::Cost` solves
-    /// via [`cost_partition`] (a *full rebuild*, since the cost solver's
-    /// knapsack state is not cached across events).
+    /// `Budget::Moves` solves via [`mpartition`] on the warm scratch (an
+    /// *incremental update*); `Budget::Cost` solves via [`cost_partition`]
+    /// (a *full rebuild*, since the cost solver's knapsack state is not
+    /// cached across events).
     pub fn rebalance(&mut self, requested: Budget) -> Result<RebalanceStep> {
         let banked_before = self.bank.balance();
         let effective = self.begin_rebalance(requested);
@@ -676,21 +672,13 @@ impl<P: MigrationPolicy> OnlineRebalancer<P> {
                 incremental: false,
             });
         }
-        // Prime the ladder from the incrementally maintained multiset so the
-        // solver skips its O(n log n) re-sort. This is a pure cache warm-up:
-        // a wrong prime would trip the ladder's debug cross-check, and the
-        // solve below is bit-identical either way.
-        self.scratch
-            .ladder
-            .prime(self.multiset.fingerprint(), self.multiset.sizes_asc());
-        let hits_before = self.scratch.ladder_hits();
         let outcome = match effective {
             Budget::Moves(k) => mpartition::rebalance_scratch(&inst, k, &mut self.scratch)?.outcome,
             Budget::Cost(b) => {
                 cost_partition::rebalance_scratch(&inst, b, &mut self.scratch)?.outcome
             }
         };
-        let incremental = self.scratch.ladder_hits() > hits_before;
+        let incremental = matches!(effective, Budget::Moves(_));
         if incremental {
             self.stats.incremental_updates += 1;
         } else {
@@ -884,7 +872,7 @@ mod tests {
         assert_eq!(r.assignment(), batch.outcome.assignment());
         assert_eq!(r.makespan(), batch.outcome.makespan());
         assert_eq!(r.makespan(), 6);
-        // The primed ladder made this an incremental update.
+        // A move-budget solve is an incremental update.
         assert!(step.incremental);
         assert_eq!(r.stats().incremental_updates, 1);
         assert_eq!(r.stats().moves_performed, batch.outcome.moves() as u64);
@@ -934,7 +922,7 @@ mod tests {
     }
 
     #[test]
-    fn depart_after_arrive_is_a_no_op_on_snapshot_and_fingerprint() {
+    fn depart_after_arrive_is_a_no_op_on_snapshot_and_loads() {
         let mut r = OnlineRebalancer::new(3, BankConfig::default()).unwrap();
         arrive(&mut r, 0, 7, 0);
         arrive(&mut r, 1, 2, 1);

@@ -29,9 +29,15 @@
 //! the discrete [`candidates`](Profiles::candidates): doubled job sizes
 //! (large/small flips), per-processor ascending prefix sums (`b_i` steps),
 //! and doubled prefix sums (`a_i` steps).
+//!
+//! Construction sorts the whole job list once by `(size, id)` and deals it
+//! out to the processors in one pass, so every processor's list arrives
+//! already sorted. The sorted order depends only on the jobs, not on the
+//! placement, and [`Profiles::rebuild`] reuses it across instances over the
+//! same job vector after an exact `O(n)` check (see `ThresholdLadder` and
+//! DESIGN.md §9).
 
-use crate::model::{Instance, JobId, ProcId, Size};
-use crate::scratch::ThresholdLadder;
+use crate::model::{Instance, Job, JobId, ProcId, Size};
 
 /// Size profile of one processor: its jobs in ascending size order plus
 /// prefix sums.
@@ -105,43 +111,43 @@ impl ProcProfile {
 #[derive(Debug, Clone, Default)]
 pub struct Profiles {
     per_proc: Vec<ProcProfile>,
-    /// All job sizes, ascending — for the global large-job count.
-    sizes_asc: Vec<Size>,
+    /// Every job in ascending `(size, id)` order, kept across rebuilds.
+    pub(crate) ladder: ThresholdLadder,
 }
 
 impl Profiles {
     /// Build profiles for an instance (`O(n log n)`).
     pub fn new(inst: &Instance) -> Self {
         let mut profiles = Profiles::default();
-        profiles.rebuild(inst, &mut ThresholdLadder::default());
+        profiles.rebuild(inst);
         profiles
     }
 
     /// Rebuild the profiles for `inst` in place, reusing this value's
-    /// buffers and the ladder's cached multiset sort (see
-    /// [`crate::scratch::Scratch`]). Equivalent to [`Profiles::new`] but
-    /// allocation-free once the buffers have grown to the instance shape.
-    pub fn rebuild(&mut self, inst: &Instance, ladder: &mut ThresholdLadder) {
+    /// buffers and, when the job sizes are unchanged, its cached
+    /// `(size, id)` order (see [`crate::scratch::Scratch`]). Equivalent to
+    /// [`Profiles::new`] but allocation-free once the buffers have grown to
+    /// the instance shape.
+    pub fn rebuild(&mut self, inst: &Instance) {
+        self.ladder.refresh(inst.jobs());
         let m = inst.num_procs();
         self.per_proc.truncate(m);
         self.per_proc.resize_with(m, ProcProfile::default);
         for prof in &mut self.per_proc {
             prof.jobs_asc.clear();
             prof.prefix.clear();
-        }
-        for (j, &p) in inst.initial().iter().enumerate() {
-            self.per_proc[p].jobs_asc.push(j);
-        }
-        for prof in &mut self.per_proc {
-            prof.jobs_asc.sort_by_key(|&j| (inst.size(j), j));
             prof.prefix.push(0);
-            let mut acc = 0u64;
-            for &j in &prof.jobs_asc {
-                acc += inst.size(j);
-                prof.prefix.push(acc);
-            }
         }
-        ladder.sizes_asc_into(inst.jobs(), &mut self.sizes_asc);
+        // One pass in the global (size, id) order: filtering it by
+        // processor leaves each processor's jobs in (size, id) order, which
+        // is exactly what sorting each processor's list would give.
+        let initial = inst.initial();
+        for &(size, j) in &self.ladder.order {
+            let prof = &mut self.per_proc[initial[j]];
+            let acc = prof.load().saturating_add(size);
+            prof.jobs_asc.push(j);
+            prof.prefix.push(acc);
+        }
     }
 
     /// Profile of processor `p`.
@@ -158,8 +164,9 @@ impl Profiles {
     pub fn l_t(&self, t: Size) -> usize {
         // Large iff 2·size > t, i.e. size > t/2; sizes_asc is sorted, so
         // count the suffix.
-        let boundary = self.sizes_asc.partition_point(|&s| 2 * s <= t);
-        self.sizes_asc.len().saturating_sub(boundary)
+        let sizes_asc = &self.ladder.sizes_asc;
+        let boundary = sizes_asc.partition_point(|&s| 2 * s <= t);
+        sizes_asc.len().saturating_sub(boundary)
     }
 
     /// Sorted, deduplicated candidate thresholds (Lemma 5): between two
@@ -192,7 +199,7 @@ impl Profiles {
             }
             out.extend(asc[cut..].iter().map(|&v| scale * v));
         };
-        take(&self.sizes_asc, 2, out);
+        take(&self.ladder.sizes_asc, 2, out);
         for prof in &self.per_proc {
             take(&prof.prefix[1..], 1, out);
             take(&prof.prefix[1..], 2, out);
@@ -200,6 +207,82 @@ impl Profiles {
         out.extend(below);
         out.sort_unstable();
         out.dedup();
+    }
+}
+
+/// The placement-independent half of the profiles: every job in ascending
+/// `(size, id)` order, and the size multiset as an ascending array.
+///
+/// The order depends only on the job sizes, so consecutive rebuilds over
+/// the same job vector (a batch of candidate placements, an epoch of
+/// what-if probes) reuse it. Reuse is never trusted, only checked: a
+/// lookup keeps the cached order when one `O(n)` pass shows it is exactly
+/// what a fresh sort would return. Otherwise it re-sorts, and the
+/// re-sorted sizes are compared with the cached multiset to tell a new job
+/// order over the same multiset (a hit) from a new multiset (a miss).
+/// See DESIGN.md §9.
+#[derive(Debug, Clone, Default)]
+pub(crate) struct ThresholdLadder {
+    /// Whether `sizes_asc` holds a multiset yet; a fresh ladder caches
+    /// nothing, so its first lookup is a miss.
+    filled: bool,
+    /// `(size, id)` of every job, ascending; its sizes are `sizes_asc`.
+    order: Vec<(Size, JobId)>,
+    /// The cached size multiset, ascending.
+    sizes_asc: Vec<Size>,
+    /// Lookups over the cached size multiset.
+    pub(crate) hits: u64,
+    /// Lookups over a new size multiset.
+    pub(crate) misses: u64,
+}
+
+impl ThresholdLadder {
+    /// Whether the cached order is exactly the `(size, id)` sort of `jobs`.
+    /// `order` only ever holds the sorted keys of some `n`-job list, so its
+    /// ids are `0..n`; if `jobs` has `n` jobs and each id still has its
+    /// recorded size, the keys are `jobs`' own and still sorted.
+    fn order_matches(&self, jobs: &[Job]) -> bool {
+        self.filled
+            && self.order.len() == jobs.len()
+            && self
+                .order
+                .iter()
+                .all(|&(size, j)| jobs.get(j).is_some_and(|job| job.size == size))
+    }
+
+    /// Bring `order` and `sizes_asc` up to date for `jobs`, counting a hit
+    /// when the size multiset is the cached one and a miss otherwise.
+    fn refresh(&mut self, jobs: &[Job]) {
+        if self.order_matches(jobs) {
+            self.hits += 1;
+            debug_assert!(
+                {
+                    let mut fresh: Vec<(Size, JobId)> = jobs
+                        .iter()
+                        .enumerate()
+                        .map(|(j, job)| (job.size, j))
+                        .collect();
+                    fresh.sort_unstable();
+                    fresh == self.order
+                },
+                "verified job order differs from a fresh sort"
+            );
+            return;
+        }
+        self.order.clear();
+        self.order
+            .extend(jobs.iter().enumerate().map(|(j, job)| (job.size, j)));
+        // The keys are distinct, so the unstable sort is deterministic.
+        self.order.sort_unstable();
+        let sizes = self.order.iter().map(|&(size, _)| size);
+        if self.filled && sizes.clone().eq(self.sizes_asc.iter().copied()) {
+            self.hits += 1;
+        } else {
+            self.misses += 1;
+            self.sizes_asc.clear();
+            self.sizes_asc.extend(sizes);
+            self.filled = true;
+        }
     }
 }
 
@@ -358,7 +441,6 @@ mod tests {
 
     #[test]
     fn rebuild_reuses_buffers_and_matches_fresh_construction() {
-        let mut ladder = ThresholdLadder::default();
         let mut p = Profiles::default();
         let a = inst();
         // A different placement of the same size multiset, then a different
@@ -366,7 +448,7 @@ mod tests {
         let b = Instance::from_sizes(&[7, 2, 3, 4], vec![1, 1, 0, 0], 2).unwrap();
         let c = Instance::from_sizes(&[5, 5], vec![0, 1], 3).unwrap();
         for inst in [&a, &b, &c] {
-            p.rebuild(inst, &mut ladder);
+            p.rebuild(inst);
             let fresh = Profiles::new(inst);
             assert_eq!(p.candidates(), fresh.candidates());
             for proc in 0..inst.num_procs() {
@@ -377,6 +459,52 @@ mod tests {
                 assert_eq!(p.l_t(t), fresh.l_t(t), "t={t}");
             }
         }
+    }
+
+    fn jobs_of(sizes: &[u64]) -> Vec<Job> {
+        sizes.iter().map(|&s| Job::unit(s)).collect()
+    }
+
+    fn counts(ladder: &ThresholdLadder) -> (u64, u64) {
+        (ladder.hits, ladder.misses)
+    }
+
+    #[test]
+    fn ladder_verifies_reorders_and_misses() {
+        let mut ladder = ThresholdLadder::default();
+        ladder.refresh(&jobs_of(&[4, 2, 9, 2]));
+        assert_eq!(ladder.order, vec![(2, 1), (2, 3), (4, 0), (9, 2)]);
+        assert_eq!(ladder.sizes_asc, vec![2, 2, 4, 9]);
+        assert_eq!(counts(&ladder), (0, 1));
+
+        // Same job vector: the cached order verifies, a hit.
+        ladder.refresh(&jobs_of(&[4, 2, 9, 2]));
+        assert_eq!(ladder.order, vec![(2, 1), (2, 3), (4, 0), (9, 2)]);
+        assert_eq!(counts(&ladder), (1, 1));
+
+        // Same multiset, permuted jobs: re-sorted order, still a hit.
+        ladder.refresh(&jobs_of(&[9, 2, 2, 4]));
+        assert_eq!(ladder.order, vec![(2, 1), (2, 2), (4, 3), (9, 0)]);
+        assert_eq!(ladder.sizes_asc, vec![2, 2, 4, 9]);
+        assert_eq!(counts(&ladder), (2, 1));
+
+        // One size changed with the ascending order kept: a miss.
+        ladder.refresh(&jobs_of(&[9, 2, 2, 5]));
+        assert_eq!(ladder.order, vec![(2, 1), (2, 2), (5, 3), (9, 0)]);
+        assert_eq!(ladder.sizes_asc, vec![2, 2, 5, 9]);
+        assert_eq!(counts(&ladder), (2, 2));
+    }
+
+    #[test]
+    fn empty_job_list_misses_on_a_fresh_ladder() {
+        let mut ladder = ThresholdLadder::default();
+        ladder.refresh(&[]);
+        ladder.refresh(&[]);
+        assert_eq!(counts(&ladder), (1, 1));
+        // A cached non-empty multiset is not the empty one.
+        ladder.refresh(&jobs_of(&[3]));
+        ladder.refresh(&[]);
+        assert_eq!(counts(&ladder), (1, 3));
     }
 
     #[test]

@@ -1,9 +1,12 @@
 //! Property tests for the threshold machinery (`profiles`), checking the
 //! `O(log n)` prefix-sum implementations against brute-force restatements
-//! of the paper's definitions.
+//! of the paper's definitions, and the profiles a reused [`Scratch`] builds
+//! against fresh ones.
 
 use lrb_core::model::Instance;
+use lrb_core::mpartition;
 use lrb_core::profiles::Profiles;
+use lrb_core::scratch::Scratch;
 use proptest::collection::vec;
 use proptest::prelude::*;
 
@@ -178,4 +181,165 @@ proptest! {
         // The largest candidate always needs zero moves.
         prop_assert_eq!(prev, 0);
     }
+}
+
+/// splitmix64: turns a step's payload into independent choices.
+fn mix(mut z: u64) -> u64 {
+    z = z.wrapping_add(0x9E37_79B9_7F4A_7C15);
+    z = (z ^ (z >> 30)).wrapping_mul(0xBF58_476D_1CE4_E5B9);
+    z = (z ^ (z >> 27)).wrapping_mul(0x94D0_49BB_1331_11EB);
+    z ^ (z >> 31)
+}
+
+/// One step of a scratch-reuse sequence, applied to the job sizes and
+/// placement of the previous instance.
+#[derive(Debug, Clone, Copy)]
+enum Step {
+    /// The same job vector under a new placement.
+    Replace,
+    /// The same multiset with the job vector permuted.
+    Permute,
+    /// The largest job (last in `(size, id)` order) grows: the sorted job
+    /// order is unchanged but the multiset is not.
+    GrowLargest,
+    /// One job takes a new size (possibly its old one).
+    Resize,
+    /// One job arrives or departs.
+    Recount,
+}
+
+const STEPS: [Step; 5] = [
+    Step::Replace,
+    Step::Permute,
+    Step::GrowLargest,
+    Step::Resize,
+    Step::Recount,
+];
+
+fn sorted(sizes: &[u64]) -> Vec<u64> {
+    let mut v = sizes.to_vec();
+    v.sort_unstable();
+    v
+}
+
+/// Solve `inst` on the reused `scratch` and require its profiles to equal a
+/// fresh build, its answer to equal a fresh solve, and its ladder counters
+/// to follow the multiset model: a solve is a hit iff its sorted sizes equal
+/// the `cached` ones (the previous solve's).
+fn check_reuse(scratch: &mut Scratch, cached: &mut Option<Vec<u64>>, inst: &Instance, k: usize) {
+    let sizes: Vec<u64> = inst.jobs().iter().map(|j| j.size).collect();
+    let hit = cached.as_deref() == Some(&sorted(&sizes)[..]);
+    let (hits, misses) = (scratch.ladder_hits(), scratch.ladder_misses());
+    let reused = mpartition::rebalance_scratch(inst, k, scratch).unwrap();
+    *cached = Some(sorted(&sizes));
+    assert_eq!(
+        (
+            scratch.ladder_hits() - hits,
+            scratch.ladder_misses() - misses
+        ),
+        (u64::from(hit), u64::from(!hit)),
+        "hit expected: {hit}, sizes {sizes:?}"
+    );
+    let fresh = mpartition::rebalance(inst, k).unwrap();
+    assert_eq!(reused.threshold, fresh.threshold);
+    assert_eq!(reused.outcome.assignment(), fresh.outcome.assignment());
+    let (got, want) = (scratch.profiles(), Profiles::new(inst));
+    assert_eq!(got.num_procs(), want.num_procs());
+    for p in 0..inst.num_procs() {
+        assert_eq!(got.proc(p).jobs_asc, want.proc(p).jobs_asc, "p={p}");
+        assert_eq!(got.proc(p).prefix, want.proc(p).prefix, "p={p}");
+    }
+    let cands = want.candidates();
+    assert_eq!(got.candidates(), cands);
+    for &c in &cands {
+        for t in [c.saturating_sub(1), c, c + 1] {
+            assert_eq!(got.l_t(t), want.l_t(t), "t={t}");
+        }
+    }
+}
+
+/// Drive one scratch from `seed_sizes` (sizes `1..=max_size`) on `m`
+/// processors through `steps`, checking every solve with [`check_reuse`].
+fn run_sequence(max_size: u64, m: usize, seed_sizes: &[u64], steps: &[(usize, u64)]) {
+    let mut sizes: Vec<u64> = seed_sizes.iter().map(|&x| 1 + x % max_size).collect();
+    let mut initial: Vec<usize> = (0..sizes.len()).map(|j| j % m).collect();
+    let mut scratch = Scratch::new();
+    let mut cached = None;
+    let inst = Instance::from_sizes(&sizes, initial.clone(), m).unwrap();
+    check_reuse(&mut scratch, &mut cached, &inst, sizes.len() / 4);
+    for &(kind, x) in steps {
+        let n = sizes.len();
+        let pick = (mix(x) % n as u64) as usize;
+        match STEPS[kind] {
+            Step::Replace => {
+                for (j, p) in initial.iter_mut().enumerate() {
+                    *p = (mix(x.wrapping_add(j as u64)) % m as u64) as usize;
+                }
+            }
+            Step::Permute => {
+                for i in (1..n).rev() {
+                    let j = (mix(x ^ i as u64) % (i as u64 + 1)) as usize;
+                    sizes.swap(i, j);
+                    initial.swap(i, j);
+                }
+            }
+            Step::GrowLargest => {
+                let largest = (0..n).max_by_key(|&j| (sizes[j], j)).unwrap();
+                sizes[largest] += 1 + x % 3;
+            }
+            Step::Resize => sizes[pick] = 1 + mix(x ^ 1) % max_size,
+            Step::Recount => {
+                if n == 1 || x % 2 == 0 {
+                    sizes.push(1 + mix(x ^ 2) % max_size);
+                    initial.push(pick % m);
+                } else {
+                    sizes.remove(pick);
+                    initial.remove(pick);
+                }
+            }
+        }
+        let inst = Instance::from_sizes(&sizes, initial.clone(), m).unwrap();
+        check_reuse(
+            &mut scratch,
+            &mut cached,
+            &inst,
+            x as usize % (sizes.len() + 1),
+        );
+    }
+}
+
+proptest! {
+    #![proptest_config(ProptestConfig::with_cases(200))]
+
+    /// One scratch driven through a sequence of related instances builds
+    /// exactly the profiles a fresh build does, and counts a ladder hit
+    /// exactly when the job-size multiset is the cached one. Sizes in
+    /// `1..=3` make ties common.
+    #[test]
+    fn reused_scratch_matches_fresh_profiles(
+        (max_size, m, seed_sizes, steps) in (
+            (0u8..2).prop_map(|b| if b == 0 { 3u64 } else { 60 }),
+            1usize..=4,
+            vec(0u64..=u64::MAX, 1..=12),
+            vec((0usize..STEPS.len(), 0u64..=u64::MAX), 1..=10),
+        )
+    ) {
+        run_sequence(max_size, m, &seed_sizes, &steps);
+    }
+}
+
+/// `[1, 2, 3]` and `[1, 2, 5]` sort their jobs identically, yet the second
+/// is a new multiset: it must miss, and its profiles must see size 5. The
+/// permuted `[3, 2, 1]` is a new multiset too (after `[1, 2, 5]`), and the
+/// `[1, 2, 3]` after it is a hit with a re-sorted order.
+#[test]
+fn changed_size_with_unchanged_order_misses() {
+    let mut scratch = Scratch::new();
+    let mut cached = None;
+    for sizes in [[1, 2, 3], [1, 2, 3], [1, 2, 5], [3, 2, 1], [1, 2, 3]] {
+        let inst = Instance::from_sizes(&sizes, vec![0, 1, 0], 2).unwrap();
+        check_reuse(&mut scratch, &mut cached, &inst, 1);
+    }
+    assert_eq!((scratch.ladder_hits(), scratch.ladder_misses()), (2, 3));
+    assert_eq!(scratch.profiles().proc(0).prefix, vec![0, 1, 4]);
 }

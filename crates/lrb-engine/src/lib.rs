@@ -33,7 +33,7 @@ use lrb_core::model::{Budget, Instance};
 use lrb_core::outcome::RebalanceOutcome;
 use lrb_core::scratch::Scratch;
 use lrb_core::{cost_partition, greedy, hetero, mpartition};
-use lrb_obs::{names, NoopRecorder, Recorder, TraceCollector};
+use lrb_obs::{names, NoopRecorder, Recorder, Span, TraceCollector};
 
 use crate::schedule::{NoopShim, ScheduleShim, YieldPoint};
 
@@ -339,23 +339,56 @@ trait ItemSolver<I>: Copy + Send + Sync {
     fn solve<R: Recorder>(self, item: &I, scratch: &mut Scratch, rec: &R) -> RebalanceOutcome;
 }
 
-/// Solve item `i` on a worker lane. Per-item detail (the `engine.solve`
-/// span and the solver's phases inside it) goes only to timeline lanes, so
-/// an aggregate recorder shared by every worker pays for no per-item
-/// registry lookup.
-fn solve_item<I, L: Recorder, P: ItemSolver<I>>(
+/// Open span `name` on `lane`, taking over from `prev` at the same instant
+/// when a span is still open there (see [`Span::switch`]).
+fn hand_over<'a, L: Recorder>(
+    lane: &'a L,
+    prev: Option<Span<'a, L>>,
+    name: &'static str,
+    v: u64,
+    sched: bool,
+) -> Span<'a, L> {
+    match prev {
+        Some(span) => span.switch(name, v, sched),
+        None => lane.span_with(name, v, sched),
+    }
+}
+
+/// Solve item `i` on a worker lane and hand its outcome and solve time to
+/// `keep`. Per-item detail (the `engine.solve` span and the solver's
+/// phases inside it) goes only to timeline lanes, so an aggregate recorder
+/// shared by every worker pays for no per-item registry lookup. On a
+/// timeline lane the solve span takes over from `prev` (the claim that
+/// found the item, or the previous solve) and is returned still open for
+/// the worker's next step to take over, so a worker's timeline has no gaps
+/// between items; it covers the clock reads, the latency observation and
+/// `keep`.
+fn solve_item<'a, I, L: Recorder, P: ItemSolver<I>>(
     solver: P,
     items: &[I],
     i: usize,
     scratch: &mut Scratch,
-    lane: &L,
-) -> RebalanceOutcome {
-    if L::TIMELINE {
-        let _solve = lane.span_with(names::ENGINE_SOLVE, i as u64, false);
+    lane: &'a L,
+    prev: Option<Span<'a, L>>,
+    keep: impl FnOnce(RebalanceOutcome, u64),
+) -> Option<Span<'a, L>> {
+    let span = if L::TIMELINE {
+        Some(hand_over(lane, prev, names::ENGINE_SOLVE, i as u64, false))
+    } else {
+        drop(prev);
+        None
+    };
+    // lint: allow(no-nondeterminism, clock feeds solve-latency telemetry only)
+    let start = Instant::now();
+    let out = if L::TIMELINE {
         solver.solve(&items[i], scratch, lane)
     } else {
         solver.solve(&items[i], scratch, &NoopRecorder)
-    }
+    };
+    let nanos = (start.elapsed().as_nanos() as u64).max(1);
+    lane.observe(names::ENGINE_SOLVE_NANOS, nanos);
+    keep(out, nanos);
+    span
 }
 
 /// Shared batch runner: solve `items` on one worker per lane in `lanes`,
@@ -403,14 +436,14 @@ where
         let _worker = lane.span_with(names::ENGINE_WORKER, 0, true);
         let mut outcomes = Vec::with_capacity(n);
         let mut solve_nanos = Vec::with_capacity(n);
+        let mut span = None;
         for i in 0..n {
-            // lint: allow(no-nondeterminism, clock feeds solve-latency telemetry only)
-            let start = Instant::now();
-            outcomes.push(solve_item(solver, items, i, scratch, lane));
-            let nanos = (start.elapsed().as_nanos() as u64).max(1);
-            lane.observe(names::ENGINE_SOLVE_NANOS, nanos);
-            solve_nanos.push(nanos);
+            span = solve_item(solver, items, i, scratch, lane, span, |out, nanos| {
+                outcomes.push(out);
+                solve_nanos.push(nanos);
+            });
         }
+        drop(span);
         let ladder_hits = scratches.iter().map(Scratch::ladder_hits).sum::<u64>() - before_hits;
         let ladder_misses =
             scratches.iter().map(Scratch::ladder_misses).sum::<u64>() - before_misses;
@@ -447,30 +480,37 @@ where
                 let steals = &steals;
                 scope.spawn(move || {
                     let lane = &*lane;
+                    // Sized before the worker span opens, so the span holds
+                    // claims and solves, not the worker's first allocation.
+                    let mut local: Vec<(usize, RebalanceOutcome, u64)> =
+                        Vec::with_capacity(n.div_ceil(threads));
                     let _worker = lane.span_with(names::ENGINE_WORKER, w as u64, true);
-                    let mut local: Vec<(usize, RebalanceOutcome, u64)> = Vec::new();
+                    // The worker's open span: each step (claim, queue wait,
+                    // solve) takes over from the one before it.
+                    let mut span = None;
                     loop {
                         if S::ACTIVE {
                             shim.yield_point(w, YieldPoint::BeforeClaim);
                         }
-                        let own = if S::ACTIVE && shim.steal_first(w) {
-                            None
-                        } else {
-                            let _claim = lane.span_with(names::ENGINE_CLAIM, w as u64, true);
-                            queue.claim_own(w)
-                        };
+                        let mut own = None;
+                        if !(S::ACTIVE && shim.steal_first(w)) {
+                            span = Some(hand_over(lane, span, names::ENGINE_CLAIM, w as u64, true));
+                            own = queue.claim_own(w);
+                        }
                         let i = match own {
                             Some(i) => i,
                             None => {
                                 if S::ACTIVE {
                                     shim.yield_point(w, YieldPoint::BeforeSteal);
                                 }
-                                let stolen = {
-                                    let _wait =
-                                        lane.span_with(names::ENGINE_QUEUE_WAIT, w as u64, true);
-                                    queue.steal(w)
-                                };
-                                match stolen {
+                                span = Some(hand_over(
+                                    lane,
+                                    span,
+                                    names::ENGINE_QUEUE_WAIT,
+                                    w as u64,
+                                    true,
+                                ));
+                                match queue.steal(w) {
                                     Some((i, depth)) => {
                                         steals.fetch_add(1, Ordering::Relaxed);
                                         lane.instant(names::ENGINE_STEAL_EVENT, depth as u64, true);
@@ -482,8 +522,13 @@ where
                                         // A steal-first worker may still own
                                         // unclaimed items; drain them before
                                         // exiting so no index is orphaned.
-                                        let _claim =
-                                            lane.span_with(names::ENGINE_CLAIM, w as u64, true);
+                                        span = Some(hand_over(
+                                            lane,
+                                            span,
+                                            names::ENGINE_CLAIM,
+                                            w as u64,
+                                            true,
+                                        ));
                                         match queue.claim_own(w) {
                                             Some(i) => i,
                                             None => break,
@@ -495,16 +540,14 @@ where
                         if S::ACTIVE {
                             shim.yield_point(w, YieldPoint::AfterClaim);
                         }
-                        // lint: allow(no-nondeterminism, clock feeds solve-latency telemetry only)
-                        let start = Instant::now();
-                        let out = solve_item(solver, items, i, scratch, lane);
-                        let nanos = (start.elapsed().as_nanos() as u64).max(1);
-                        lane.observe(names::ENGINE_SOLVE_NANOS, nanos);
-                        local.push((i, out, nanos));
+                        span = solve_item(solver, items, i, scratch, lane, span, |out, nanos| {
+                            local.push((i, out, nanos));
+                        });
                         if S::ACTIVE {
                             shim.yield_point(w, YieldPoint::AfterSolve);
                         }
                     }
+                    drop(span);
                     local
                 })
             })

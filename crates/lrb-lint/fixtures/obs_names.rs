@@ -12,5 +12,6 @@ pub fn trace<R: Recorder>(rec: &R) {
     let _g = rec.time("sim.runz");
     let _s = rec.span_with("sim.stepz", 1, false);
     let _t = rec.span_with(names::SIM_EPOCH, 2, false);
+    let _u = _t.switch("sim.switchz", 3, false);
     rec.instant(names::SIM_RUN, 0, false);
 }

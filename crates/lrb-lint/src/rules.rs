@@ -365,6 +365,8 @@ const RECORDER_METHODS: &[&str] = &[
     "instant",
     "enter",
     "exit",
+    "exit_enter",
+    "switch",
 ];
 
 pub(crate) fn is_loadish(name: &str) -> bool {

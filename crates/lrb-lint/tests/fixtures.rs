@@ -146,20 +146,24 @@ fn obs_names_fixture_flags_inline_literal_only() {
         "crates/lrb-sim/src/fixture.rs",
     );
     // The inline "sim.epochz" counter literal, the "sim.runz" phase
-    // literal and the "sim.stepz" span literal trip; the names:: calls are
-    // the sanctioned form.
+    // literal, the "sim.stepz" span literal and the "sim.switchz" literal
+    // handed to `Span::switch` trip; the names:: calls are the sanctioned
+    // form.
     assert_eq!(
         triples(&findings),
         vec![
             ("obs-name-registry", 7, 14),
             ("obs-name-registry", 12, 23),
             ("obs-name-registry", 13, 28),
+            ("obs-name-registry", 15, 24),
         ],
         "{findings:#?}"
     );
     assert!(findings[0].message.contains("sim.epochz"));
     assert!(findings[1].message.contains("sim.runz"));
     assert!(findings[2].message.contains("sim.stepz"));
+    assert!(findings[3].message.contains("sim.switchz"));
+    assert!(findings[3].message.contains("Recorder::switch"));
 }
 
 #[test]

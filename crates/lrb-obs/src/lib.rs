@@ -77,7 +77,8 @@ mod tests {
     fn shared_references_record_into_their_referent() {
         fn emit<R: Recorder>(rec: R) {
             rec.incr("n", 1);
-            let _t = rec.time("p");
+            let t = rec.time("p");
+            let _q = t.switch("q", 0, false);
         }
         let r = AtomicRecorder::new();
         emit(&r);
@@ -85,6 +86,7 @@ mod tests {
         let snap = r.snapshot();
         assert_eq!(snap.counter("n"), Some(2));
         assert_eq!(snap.phase("p").unwrap().calls, 2);
+        assert_eq!(snap.phase("q").unwrap().calls, 2);
         const { assert!(<&AtomicRecorder as Recorder>::ENABLED) };
         const { assert!(!<&NoopRecorder as Recorder>::ENABLED) };
         const { assert!(<&ThreadTracer as Recorder>::TIMELINE) };

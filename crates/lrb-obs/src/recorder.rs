@@ -59,6 +59,21 @@ pub trait Recorder {
     /// Close the innermost open span, `name`, opened with `start`.
     fn exit(&self, name: &'static str, start: Option<Instant>);
 
+    /// Close the innermost open span (`closing`, opened with `start`) and
+    /// open `name` in its place at the same instant. Prefer
+    /// [`Span::switch`].
+    fn exit_enter(
+        &self,
+        closing: &'static str,
+        start: Option<Instant>,
+        name: &'static str,
+        v: u64,
+        sched: bool,
+    ) -> Option<Instant> {
+        self.exit(closing, start);
+        self.enter(name, v, sched)
+    }
+
     /// Emit a point-in-time marker.
     fn instant(&self, name: &'static str, v: u64, sched: bool);
 
@@ -95,6 +110,27 @@ pub struct Span<'a, R: Recorder> {
     start: Option<Instant>,
 }
 
+impl<'a, R: Recorder> Span<'a, R> {
+    /// Close this span and open `name` (payload `v`, see
+    /// [`Recorder::span_with`]) in its place at the same instant. On a
+    /// timeline the two abut, so the caller's code around the hand-over
+    /// falls inside one of them rather than in an unattributed gap.
+    pub fn switch(self, name: &'static str, v: u64, sched: bool) -> Span<'a, R> {
+        let this = std::mem::ManuallyDrop::new(self);
+        let start = if R::ENABLED {
+            this.recorder
+                .exit_enter(this.name, this.start, name, v, sched)
+        } else {
+            None
+        };
+        Span {
+            recorder: this.recorder,
+            name,
+            start,
+        }
+    }
+}
+
 impl<R: Recorder> Drop for Span<'_, R> {
     fn drop(&mut self) {
         if R::ENABLED {
@@ -127,6 +163,18 @@ impl<R: Recorder> Recorder for &R {
     #[inline(always)]
     fn exit(&self, name: &'static str, start: Option<Instant>) {
         (**self).exit(name, start);
+    }
+
+    #[inline(always)]
+    fn exit_enter(
+        &self,
+        closing: &'static str,
+        start: Option<Instant>,
+        name: &'static str,
+        v: u64,
+        sched: bool,
+    ) -> Option<Instant> {
+        (**self).exit_enter(closing, start, name, v, sched)
     }
 
     #[inline(always)]

@@ -108,6 +108,33 @@ impl ThreadTracer {
         s
     }
 
+    /// Open a span at `ts_nanos`. Trace timestamps are excluded from the
+    /// determinism hash.
+    fn open_at(&self, ts_nanos: u64, name: &'static str, v: u64, sched: bool) {
+        let mut events = self.events.borrow_mut();
+        self.open.borrow_mut().push(events.len());
+        events.push(SpanEvent {
+            name,
+            tid: self.tid,
+            seq: self.next_seq(),
+            ts_nanos,
+            dur_nanos: 0,
+            kind: SpanKind::Complete,
+            v,
+            sched,
+        });
+    }
+
+    /// Close the innermost open span at `now`.
+    fn close_at(&self, now: u64) {
+        if let Some(idx) = self.open.borrow_mut().pop() {
+            let ev = &mut self.events.borrow_mut()[idx];
+            // Clamp to >= 1ns so a closed span is distinguishable from an
+            // instant even under coarse clocks.
+            ev.dur_nanos = now.saturating_sub(ev.ts_nanos).max(1);
+        }
+    }
+
     fn into_events(self) -> Vec<SpanEvent> {
         self.events.into_inner()
     }
@@ -124,32 +151,28 @@ impl Recorder for ThreadTracer {
     fn observe(&self, _histogram: &'static str, _value: u64) {}
 
     fn enter(&self, name: &'static str, v: u64, sched: bool) -> Option<Instant> {
-        // Trace timestamps are excluded from the determinism hash.
-        let ts_nanos = self.now_nanos();
-        let mut events = self.events.borrow_mut();
-        self.open.borrow_mut().push(events.len());
-        events.push(SpanEvent {
-            name,
-            tid: self.tid,
-            seq: self.next_seq(),
-            ts_nanos,
-            dur_nanos: 0,
-            kind: SpanKind::Complete,
-            v,
-            sched,
-        });
+        self.open_at(self.now_nanos(), name, v, sched);
         None
     }
 
     fn exit(&self, _name: &'static str, _start: Option<Instant>) {
-        // Trace timestamps are excluded from the determinism hash.
+        self.close_at(self.now_nanos());
+    }
+
+    fn exit_enter(
+        &self,
+        _closing: &'static str,
+        _start: Option<Instant>,
+        name: &'static str,
+        v: u64,
+        sched: bool,
+    ) -> Option<Instant> {
+        // One clock read: the closing span ends exactly where the new one
+        // starts.
         let now = self.now_nanos();
-        if let Some(idx) = self.open.borrow_mut().pop() {
-            let ev = &mut self.events.borrow_mut()[idx];
-            // Clamp to >= 1ns so a closed span is distinguishable from an
-            // instant even under coarse clocks.
-            ev.dur_nanos = now.saturating_sub(ev.ts_nanos).max(1);
-        }
+        self.close_at(now);
+        self.open_at(now, name, v, sched);
+        None
     }
 
     fn instant(&self, name: &'static str, v: u64, sched: bool) {
@@ -344,6 +367,33 @@ mod tests {
         assert_eq!(mark.dur_nanos, 0);
         assert_eq!(trace.span_count(), 2);
         assert_eq!(trace.instant_count(), 1);
+    }
+
+    #[test]
+    fn switched_spans_abut_inside_their_parent() {
+        let c = TraceCollector::new(1);
+        {
+            let t = c.main();
+            let _outer = t.span_with("outer", 0, false);
+            let first = t.span_with("first", 1, true);
+            let second = first.switch("second", 2, false);
+            drop(second);
+            let _after = t.span_with("after", 3, false);
+        }
+        let trace = c.finish("test", 0, 1, "none");
+        let ev = |name| trace.events_named(name).next().unwrap();
+        let (outer, first, second) = (ev("outer"), ev("first"), ev("second"));
+        assert_eq!(
+            [first.seq, second.seq, ev("after").seq],
+            [1, 2, 3],
+            "a switch closes and opens in order"
+        );
+        assert_eq!(first.ts_nanos + first.dur_nanos, second.ts_nanos);
+        assert!((second.v, second.sched) == (2, false));
+        // The switch popped `first`, not `outer`: `outer` still encloses
+        // both, and `after` opened at its level again.
+        assert!(second.ts_nanos + second.dur_nanos <= outer.ts_nanos + outer.dur_nanos);
+        assert_eq!(trace.span_count(), 4);
     }
 
     #[test]

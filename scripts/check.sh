@@ -52,6 +52,12 @@ run cargo test -q --release --offline --test metamorphic_hetero
 run cargo test -q --release --offline --test differential_online
 run cargo test -q --release --offline --test metamorphic_online_policies
 
+# Engine span attribution in release: the trace test requires claim,
+# queue-wait and solve spans to cover >=95% of each worker's wall time.
+# Release solves are short, so any per-item gap between spans weighs most
+# there; the debug run in the workspace suite above would hide it.
+run cargo test -q --release --offline -p lrb-engine --lib
+
 # Repository benchmark smoke suite: every perfbench workload at a tiny
 # size, checking engine and serve outcomes end to end.
 run cargo test -q --release --offline --manifest-path perfbench/Cargo.toml
