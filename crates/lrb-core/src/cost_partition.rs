@@ -291,7 +291,7 @@ fn run_at_impl<R: Recorder>(
 fn build_plans<R: Recorder>(inst: &Instance, a: Size, rec: &R) -> Option<(Vec<ProcPlan>, usize)> {
     let m = inst.num_procs();
     let per_proc = inst.jobs_by_proc();
-    let l_t = inst.jobs().iter().filter(|j| 2 * j.size > a).count();
+    let l_t = inst.jobs().iter().filter(|j| j.size > a / 2).count();
     if l_t > m {
         return None;
     }

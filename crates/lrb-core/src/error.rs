@@ -41,6 +41,9 @@ pub enum Error {
     ZeroSpeed { proc: usize },
     /// A speed vector's length does not match the instance's processor count.
     SpeedsLength { expected: usize, got: usize },
+    /// Processor `proc`'s initial load exceeds `u64::MAX`, so its prefix
+    /// sums (and the thresholds built from them) cannot be represented.
+    LoadOverflow { proc: usize },
 }
 
 impl fmt::Display for Error {
@@ -86,6 +89,9 @@ impl fmt::Display for Error {
             Error::SpeedsLength { expected, got } => {
                 write!(f, "speed vector has {got} entries, expected {expected}")
             }
+            Error::LoadOverflow { proc } => {
+                write!(f, "processor {proc}'s initial load exceeds u64::MAX")
+            }
         }
     }
 }
@@ -128,6 +134,10 @@ mod tests {
         assert_eq!(
             Error::ProcessorDown { proc: 7 }.to_string(),
             "processor 7 is down"
+        );
+        assert_eq!(
+            Error::LoadOverflow { proc: 2 }.to_string(),
+            "processor 2's initial load exceeds u64::MAX"
         );
     }
 

@@ -170,6 +170,9 @@ fn rebalance_impl<R: Recorder>(
         // which worker's warm ladder served the item.
         let _ladder_build = rec.time(names::MPARTITION_LADDER_BUILD);
         profiles.rebuild(inst);
+        if let Some(proc) = profiles.overflow {
+            return Err(Error::LoadOverflow { proc });
+        }
         // Start at the paper's average-load guess — but because the search
         // only evaluates candidate thresholds and behavior is constant
         // *between* candidates, the region containing OPT may begin at the
@@ -436,6 +439,60 @@ mod tests {
         // `alt` included, reuses the cached job order.
         assert_eq!(scratch.ladder_hits(), 18);
         assert_eq!(scratch.ladder_misses(), 2);
+    }
+
+    /// Sizes and prefix sums at the top of `u64`, where a doubled size or
+    /// prefix sum does not fit: every search returns a valid outcome, or a
+    /// typed error when a processor's load itself does not fit, and never
+    /// overflows (the test profile checks).
+    #[test]
+    fn near_max_sizes_never_overflow() {
+        const MAX: u64 = u64::MAX;
+        let cases: [(&[u64], &[usize], usize); 10] = [
+            (&[1 << 63, 1], &[0, 0], 2),
+            (&[MAX], &[0], 2),
+            (&[MAX - 1, 1], &[0, 0], 2),
+            (&[1 << 63, (1 << 63) - 1], &[0, 0], 3),
+            (&[MAX / 2, MAX / 2, 1], &[0, 0, 0], 2),
+            (&[MAX / 2, MAX / 2, 1], &[0, 1, 1], 3),
+            (&[MAX / 3, MAX / 3, MAX / 3, 1], &[0, 0, 0, 0], 3),
+            (&[MAX - 3, 3, 1], &[0, 0, 1], 2),
+            (&[MAX - 3, MAX - 3, 1], &[0, 0, 1], 2),
+            (
+                &[1 << 62, 1 << 62, 1 << 62, 1 << 62, 5],
+                &[0, 0, 0, 0, 1],
+                2,
+            ),
+        ];
+        for (sizes, initial, m) in cases {
+            let inst = Instance::from_sizes(sizes, initial.to_vec(), m).unwrap();
+            let overflow = (0..m).find(|&p| {
+                let mut on_p = sizes.iter().zip(initial).filter(|&(_, &q)| q == p);
+                on_p.try_fold(0u64, |acc, (&s, _)| acc.checked_add(s))
+                    .is_none()
+            });
+            for k in 0..=sizes.len() {
+                for search in [
+                    ThresholdSearch::Scan,
+                    ThresholdSearch::Incremental,
+                    ThresholdSearch::Binary,
+                ] {
+                    let ctx = format!("{sizes:?} on {initial:?}, m={m}, k={k}, {search:?}");
+                    let run = rebalance_with(&inst, k, search);
+                    if let Some(proc) = overflow {
+                        assert_eq!(run.unwrap_err(), Error::LoadOverflow { proc }, "{ctx}");
+                        continue;
+                    }
+                    let out = &run.unwrap().outcome;
+                    assert!(out.moves() <= k, "{ctx}");
+                    assert_eq!(
+                        Ok(out.makespan()),
+                        inst.makespan_of(out.assignment()),
+                        "{ctx}"
+                    );
+                }
+            }
+        }
     }
 
     #[test]

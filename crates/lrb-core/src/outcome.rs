@@ -7,8 +7,10 @@ use crate::model::{Assignment, Cost, Instance, JobId, Size};
 /// assignment together with derived bookkeeping (makespan, which jobs moved,
 /// what the moves cost).
 ///
-/// Always constructed through [`RebalanceOutcome::from_assignment`] so the
-/// derived fields cannot drift out of sync with the assignment.
+/// Constructed through [`RebalanceOutcome::from_assignment`] so the derived
+/// fields cannot drift out of sync with the assignment (PARTITION hands over
+/// the fields it tracked instead, checked against a full recount in debug
+/// builds).
 #[derive(Debug, Clone, PartialEq, Eq)]
 pub struct RebalanceOutcome {
     assignment: Assignment,
@@ -36,6 +38,32 @@ impl RebalanceOutcome {
             moved,
             cost,
         })
+    }
+
+    /// Package an assignment whose makespan and relocated jobs (ascending)
+    /// the algorithm already tracked, skipping [`from_assignment`]'s pass
+    /// over every job; debug builds check the two agree.
+    ///
+    /// [`from_assignment`]: Self::from_assignment
+    pub(crate) fn from_moved(
+        inst: &Instance,
+        assignment: Assignment,
+        makespan: Size,
+        moved: Vec<JobId>,
+    ) -> Self {
+        let cost = moved.iter().map(|&j| inst.cost(j)).sum();
+        let outcome = RebalanceOutcome {
+            assignment,
+            makespan,
+            moved,
+            cost,
+        };
+        debug_assert_eq!(
+            Self::from_assignment(inst, outcome.assignment.clone()).ok(),
+            Some(outcome.clone()),
+            "tracked outcome differs from a full recount"
+        );
+        outcome
     }
 
     /// The trivial outcome that leaves every job in place.

@@ -22,6 +22,21 @@
 //!    processor (the counting works out exactly; see DESIGN.md §5).
 //! 6. Reassign the removed small jobs one-by-one to the currently
 //!    minimum-loaded processor.
+//!
+//! **Large-free guesses.** At `T ≥ 2·p_max` no job is large, so `L_T = 0`:
+//! Steps 1, 2, 3 and 5 have nothing to do and the plan is `Σ b_i`.
+//! [`planned_moves`] then costs one prefix-sum search per processor whose
+//! load exceeds `T` (see [`ProcProfile::b_large_free`]) and ranks nothing,
+//! and [`run`] skips the Step 2 ranking. Outputs are bit-identical to the
+//! general path: with `L_T = 0` the selection is empty however it is made.
+//! Otherwise the `L_T` smallest `(c_i, no-large, p)` keys are picked by
+//! selection rather than a full sort; the keys are unique, so it is the same
+//! set. Step 6 sorts the removed small jobs by the unique key
+//! `(Reverse(size), initial processor, id)`, which is the order a stable
+//! size sort of the removal order gives, and the outcome is assembled from
+//! the removed jobs and the final loads rather than a pass over every job.
+//!
+//! [`ProcProfile::b_large_free`]: crate::profiles::ProcProfile::b_large_free
 
 use std::cmp::Reverse;
 use std::collections::BinaryHeap;
@@ -29,7 +44,7 @@ use std::collections::BinaryHeap;
 use lrb_obs::{names, NoopRecorder, Recorder};
 
 use crate::error::{Error, Result};
-use crate::model::{Instance, ProcId, Size};
+use crate::model::{Instance, JobId, ProcId, Size};
 use crate::outcome::RebalanceOutcome;
 use crate::profiles::Profiles;
 use crate::scratch::PartitionScratch;
@@ -82,6 +97,15 @@ pub(crate) fn planned_moves_with(
     let l_t = profiles.l_t(t);
     if l_t > m {
         return None;
+    }
+    if l_t == 0 {
+        // Large-free guess: nothing is stripped or selected, so the plan
+        // is Σ b_i, each processor's b_i one prefix-sum search at most.
+        return Some(
+            (0..m)
+                .map(|p| profiles.proc(p).b_large_free(t))
+                .fold(0usize, usize::saturating_add),
+        );
     }
     // One pass: m_L, Σ b_i over all processors, and every c_i.
     let (mut m_l, mut sum_b) = (0usize, 0usize);
@@ -139,6 +163,9 @@ pub(crate) fn run_impl<R: Recorder>(
     rec: &R,
     s: &mut PartitionScratch,
 ) -> Result<PartitionRun> {
+    if let Some(proc) = profiles.overflow {
+        return Err(Error::LoadOverflow { proc });
+    }
     let m = inst.num_procs();
     let l_t = profiles.l_t(t);
     if l_t > m {
@@ -178,18 +205,24 @@ pub(crate) fn run_impl<R: Recorder>(
     debug_assert_eq!(planned, l_e);
     drop(step1);
 
-    // Step 2 + 3: rank processors by c_i and select L_T of them.
+    // Step 2 + 3: rank processors by c_i and select L_T of them. The keys
+    // are unique (the processor id breaks every tie), so the L_T smallest
+    // form one set however they are found; a large-free guess selects none.
     let step2 = rec.time(names::PARTITION_STEP2_RANK);
     s.cs.clear();
-    s.cs.extend(
-        s.evals
-            .iter()
-            .enumerate()
-            .map(|(p, &(_, a, b))| (a as i64 - b as i64, s.kept_large[p].is_none(), p)),
-    );
-    s.cs.sort_unstable();
-    for &(_, _, p) in s.cs.iter().take(l_t) {
-        s.is_selected[p] = true;
+    if l_t > 0 {
+        s.cs.extend(
+            s.evals
+                .iter()
+                .enumerate()
+                .map(|(p, &(_, a, b))| (a as i64 - b as i64, s.kept_large[p].is_none(), p)),
+        );
+        if l_t < m {
+            s.cs.select_nth_unstable(l_t);
+        }
+        for &(_, _, p) in &s.cs[..l_t] {
+            s.is_selected[p] = true;
+        }
     }
     let selected: Vec<ProcId> = (0..m).filter(|&p| s.is_selected[p]).collect();
     drop(step2);
@@ -255,22 +288,38 @@ pub(crate) fn run_impl<R: Recorder>(
     drop(step5);
 
     // Step 6: greedy min-load placement of the removed small jobs,
-    // largest first.
+    // largest first; equal sizes keep the order they were removed in (by
+    // processor, then id), which the unique key spells out.
     let step6 = rec.time(names::PARTITION_STEP6_REINSERT);
-    s.removed_small.sort_by_key(|&j| Reverse(inst.size(j)));
+    let initial = inst.initial();
+    s.removed_small
+        .sort_unstable_by_key(|&j| (Reverse(inst.size(j)), initial[j], j));
     let mut heap_buf = std::mem::take(&mut s.min_heap);
     heap_buf.clear();
     heap_buf.extend(s.loads.iter().enumerate().map(|(p, &l)| Reverse((l, p))));
     let mut heap = BinaryHeap::from(heap_buf);
     for &j in &s.removed_small {
-        let Reverse((load, p)) = heap.pop().ok_or(Error::NoProcessors)?;
-        assignment[j] = p;
-        heap.push(Reverse((load.saturating_add(inst.size(j)), p)));
+        let mut top = heap.peek_mut().ok_or(Error::NoProcessors)?;
+        let Reverse((load, p)) = &mut *top;
+        *load = load.saturating_add(inst.size(j));
+        s.loads[*p] = *load;
+        assignment[j] = *p;
     }
     s.min_heap = heap.into_vec();
     drop(step6);
 
-    let outcome = RebalanceOutcome::from_assignment(inst, assignment)?;
+    // Only removed jobs can have changed processor, so the outcome is
+    // assembled from them and the final loads without a pass over all jobs.
+    let mut moved: Vec<JobId> = s
+        .homeless_large
+        .iter()
+        .chain(&s.removed_small)
+        .copied()
+        .filter(|&j| assignment[j] != initial[j])
+        .collect();
+    moved.sort_unstable();
+    let makespan = s.loads.iter().copied().max().unwrap_or(0);
+    let outcome = RebalanceOutcome::from_moved(inst, assignment, makespan, moved);
     debug_assert!(
         outcome.moves() <= planned,
         "realized moves cannot exceed planned removals"
@@ -408,6 +457,49 @@ mod tests {
         assert_eq!(run.stats.planned_moves, 2);
         assert_eq!(run.outcome.makespan(), 10);
         assert_eq!(run.outcome.moves(), 2);
+    }
+
+    /// Runs PARTITION and checks the outcome it assembled from its removed
+    /// jobs and final loads against a full recount of its assignment.
+    fn run_checked(sizes: &[Size], initial: Vec<ProcId>, m: usize, t: Size) -> PartitionRun {
+        let inst = Instance::from_sizes(sizes, initial, m).unwrap();
+        let run = run(&inst, t).unwrap();
+        let recount =
+            RebalanceOutcome::from_assignment(&inst, run.outcome.assignment().clone()).unwrap();
+        assert_eq!(run.outcome, recount, "{sizes:?} at t={t}");
+        run
+    }
+
+    #[test]
+    fn large_free_outcome_matches_full_recount() {
+        // t = 8 = 2·p_max: nothing is large, nothing is selected, and the
+        // single planned removal (the 4) moves.
+        let run = run_checked(&[4, 3, 3, 2], vec![0; 4], 2, 8);
+        assert_eq!((run.stats.l_t, run.stats.planned_moves), (0, 1));
+        assert!(run.stats.selected.is_empty());
+        assert_eq!(run.outcome.moved(), &[0]);
+    }
+
+    #[test]
+    fn large_job_outcome_matches_full_recount() {
+        // The selected_processors_count_is_l_t instance: L_T = 2, one
+        // large job stripped in Step 1 and placed in Step 5.
+        let run = run_checked(&[9, 8, 1, 1, 1, 1], vec![0, 0, 1, 1, 2, 2], 3, 9);
+        assert_eq!((run.stats.l_t, run.stats.l_e), (2, 1));
+        assert!(run.outcome.moves() > 0);
+    }
+
+    #[test]
+    fn job_reinserted_on_its_own_processor_is_not_a_move() {
+        // L_T = 0: processor 1 sheds two jobs, and Step 6 puts one back on
+        // processor 1, so only one of the two planned removals moves.
+        let run = run_checked(&[5, 2, 4, 4, 5], vec![1, 1, 1, 0, 1], 2, 10);
+        assert_eq!((run.stats.l_t, run.stats.planned_moves), (0, 2));
+        assert_eq!(run.outcome.moves(), 1);
+        // L_T = 2: likewise with large jobs in play.
+        let run = run_checked(&[7, 1, 7, 5, 5], vec![1, 2, 1, 2, 2], 3, 10);
+        assert_eq!((run.stats.l_t, run.stats.planned_moves), (2, 2));
+        assert_eq!(run.outcome.moves(), 1);
     }
 
     #[test]

@@ -1,8 +1,9 @@
 //! Per-processor size profiles and the discrete threshold set of §3.1.
 //!
 //! For a makespan guess `T`, the paper classifies a job as **large** when its
-//! size is strictly greater than `T/2` (evaluated here as `2·size > T` to
-//! stay in integers). Sorting each processor's jobs in ascending size order
+//! size is strictly greater than `T/2` (evaluated here as `size > ⌊T/2⌋`,
+//! which is `2·size > T` in integers without forming a product that can
+//! overflow). Sorting each processor's jobs in ascending size order
 //! makes the small jobs a *prefix* of the list for every `T`, so all the
 //! quantities PARTITION needs are prefix-sum lookups:
 //!
@@ -15,7 +16,16 @@
 //!
 //! [`ProcProfile::eval`] returns a processor's small-job count, `a_i` and
 //! `b_i` from one small-count search, so PARTITION and every threshold
-//! probe visit each processor once per guess.
+//! probe visit each processor once per guess. The search is skipped when
+//! the processor's largest job is small ([`ProcProfile::has_large`] is one
+//! subtraction), since then every job is.
+//!
+//! **Large-free guesses.** Once `T ≥ 2·p_max` no job is large, so
+//! `L_T = 0` and nothing is selected: PARTITION's planned move count is
+//! `Σ b_i`, and on a processor without a large job `b_i` is just the number
+//! of its prefix sums above `T` ([`ProcProfile::b_large_free`]: zero when
+//! the load fits, else one binary search). The threshold probe takes that
+//! path; see [`crate::partition`] and DESIGN.md §5.
 //!
 //! `b_i` here is the "forced large removal" variant: the paper defines `b_i`
 //! without forcing the large job out when the load already fits, and then
@@ -72,37 +82,65 @@ impl ProcProfile {
     /// * `a_i(t)`: the minimum number of small jobs to remove so the
     ///   remaining small jobs total at most `t/2`. Removing largest-first is
     ///   optimal for minimizing the count, and the smalls are a prefix, so
-    ///   this is `small_count − max{l : 2·prefix[l] ≤ t}`.
+    ///   this is `small_count − max{l : prefix[l] ≤ ⌊t/2⌋}`.
     /// * `b_i(t)`, forced variant: the number of removals after which the
     ///   processor (in its post-Step-1 state, i.e. at most one large job) is
     ///   large-free with total load at most `t` — one removal for the kept
     ///   large job if any, plus largest-first small removals until the small
     ///   total is at most `t`.
     pub fn eval(&self, t: Size) -> (usize, usize, usize) {
+        let half = t / 2;
         // The small jobs form a prefix of the ascending job list. The size
         // of the job at index i is prefix[i+1] − prefix[i]; sizes ascend
-        // with i, so binary search for the first large one.
-        let (mut lo, mut hi) = (0usize, self.len());
-        while lo < hi {
-            let mid = (lo + hi) / 2;
-            if 2 * (self.prefix[mid + 1] - self.prefix[mid]) <= t {
-                lo = mid + 1;
-            } else {
-                hi = mid;
+        // with i, so when the largest job is small every job is, and
+        // otherwise binary search for the first large one.
+        let sc = if self.has_large(t) {
+            let (mut lo, mut hi) = (0usize, self.len() - 1);
+            while lo < hi {
+                let mid = (lo + hi) / 2;
+                if self.prefix[mid + 1] - self.prefix[mid] <= half {
+                    lo = mid + 1;
+                } else {
+                    hi = mid;
+                }
             }
-        }
-        let sc = lo;
+            lo
+        } else {
+            self.len()
+        };
         let smalls = &self.prefix[..=sc];
         // Both keep counts index the same ascending prefix sums, and
-        // 2·s ≤ t implies s ≤ t, so the full-load keep count starts its
+        // s ≤ t/2 implies s ≤ t, so the full-load keep count starts its
         // search at the half-load one.
-        let keep_half = smalls.partition_point(|&s| 2 * s <= t);
+        let keep_half = smalls.partition_point(|&s| s <= half);
         let keep_full = keep_half.saturating_add(smalls[keep_half..].partition_point(|&s| s <= t));
         let a = sc.saturating_sub(keep_half.saturating_sub(1));
         let b = sc
             .saturating_sub(keep_full.saturating_sub(1))
             .saturating_add(usize::from(sc < self.len()));
         (sc, a, b)
+    }
+
+    /// Whether the processor holds a large job at guess `t`, i.e. whether
+    /// its largest job has `size > t/2` — one subtraction, no search.
+    pub fn has_large(&self, t: Size) -> bool {
+        match self.prefix.len().checked_sub(2) {
+            Some(i) => self.prefix[i + 1] - self.prefix[i] > t / 2,
+            None => false,
+        }
+    }
+
+    /// `b_i(t)` of a processor that holds no large job at `t` (see
+    /// [`has_large`](Self::has_large)): the number of its prefix sums
+    /// above `t`, which is how many largest-first removals bring the load
+    /// to at most `t`. Zero without a search when the whole load fits.
+    /// Equals `eval(t).2` on such a processor.
+    pub fn b_large_free(&self, t: Size) -> usize {
+        if self.load() <= t {
+            0
+        } else {
+            self.prefix.len() - self.prefix.partition_point(|&s| s <= t)
+        }
     }
 }
 
@@ -111,6 +149,9 @@ impl ProcProfile {
 #[derive(Debug, Clone, Default)]
 pub struct Profiles {
     per_proc: Vec<ProcProfile>,
+    /// The first processor whose load does not fit in a `Size`, if any;
+    /// its prefix sums saturate and PARTITION refuses to run on them.
+    pub(crate) overflow: Option<ProcId>,
     /// Every job in ascending `(size, id)` order, kept across rebuilds.
     pub(crate) ladder: ThresholdLadder,
 }
@@ -142,12 +183,18 @@ impl Profiles {
         // processor leaves each processor's jobs in (size, id) order, which
         // is exactly what sorting each processor's list would give.
         let initial = inst.initial();
+        let mut overflow = None;
         for &(size, j) in &self.ladder.order {
-            let prof = &mut self.per_proc[initial[j]];
-            let acc = prof.load().saturating_add(size);
+            let p = initial[j];
+            let prof = &mut self.per_proc[p];
+            let acc = prof.load().checked_add(size).unwrap_or_else(|| {
+                overflow = overflow.or(Some(p));
+                Size::MAX
+            });
             prof.jobs_asc.push(j);
             prof.prefix.push(acc);
         }
+        self.overflow = overflow;
     }
 
     /// Profile of processor `p`.
@@ -162,10 +209,10 @@ impl Profiles {
 
     /// Global number of large jobs `L_T` at guess `t`.
     pub fn l_t(&self, t: Size) -> usize {
-        // Large iff 2·size > t, i.e. size > t/2; sizes_asc is sorted, so
-        // count the suffix.
+        // Large iff size > t/2; sizes_asc is sorted, so count the suffix.
         let sizes_asc = &self.ladder.sizes_asc;
-        let boundary = sizes_asc.partition_point(|&s| 2 * s <= t);
+        let half = t / 2;
+        let boundary = sizes_asc.partition_point(|&s| s <= half);
         sizes_asc.len().saturating_sub(boundary)
     }
 
@@ -192,12 +239,14 @@ impl Profiles {
         out.clear();
         // The largest candidate strictly below `floor`, if any.
         let mut below: Option<Size> = None;
+        // A doubled value past `Size::MAX` saturates: every guess is below
+        // it, so the quantity it would step never changes within range.
         let mut take = |asc: &[Size], scale: Size, out: &mut Vec<Size>| {
-            let cut = asc.partition_point(|&v| scale * v < floor);
+            let cut = asc.partition_point(|&v| scale.saturating_mul(v) < floor);
             if let Some(&v) = cut.checked_sub(1).and_then(|i| asc.get(i)) {
-                below = below.max(Some(scale * v));
+                below = below.max(Some(scale.saturating_mul(v)));
             }
-            out.extend(asc[cut..].iter().map(|&v| scale * v));
+            out.extend(asc[cut..].iter().map(|&v| scale.saturating_mul(v)));
         };
         take(&self.ladder.sizes_asc, 2, out);
         for prof in &self.per_proc {

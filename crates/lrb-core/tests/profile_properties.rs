@@ -68,8 +68,65 @@ fn brute_b(inst: &Instance, p: usize, t: u64) -> usize {
     unreachable!("removing everything always fits");
 }
 
+/// Planned moves at `t` restated from [`ProcProfile::eval`] on every
+/// processor, with a full sort for the `L_T` cheapest selections: the
+/// general path, with no large-free shortcut.
+///
+/// [`ProcProfile::eval`]: lrb_core::profiles::ProcProfile::eval
+fn reference_planned_moves(profiles: &Profiles, t: u64) -> Option<usize> {
+    let m = profiles.num_procs();
+    let evals: Vec<(usize, usize, usize)> = (0..m).map(|p| profiles.proc(p).eval(t)).collect();
+    let l_t: usize = (0..m).map(|p| profiles.proc(p).len() - evals[p].0).sum();
+    if l_t > m {
+        return None;
+    }
+    let m_l = (0..m)
+        .filter(|&p| evals[p].0 < profiles.proc(p).len())
+        .count();
+    let mut ranked: Vec<(i64, bool, usize)> = (0..m)
+        .map(|p| {
+            let (sc, a, b) = evals[p];
+            (a as i64 - b as i64, sc == profiles.proc(p).len(), p)
+        })
+        .collect();
+    ranked.sort_unstable();
+    let selected_a: usize = ranked[..l_t].iter().map(|&(_, _, p)| evals[p].1).sum();
+    let unselected_b: usize = ranked[l_t..].iter().map(|&(_, _, p)| evals[p].2).sum();
+    Some(l_t - m_l + selected_a + unselected_b)
+}
+
 proptest! {
     #![proptest_config(ProptestConfig::with_cases(300))]
+
+    /// At every candidate and one either side, the planned move count
+    /// equals the eval-based reference, whether or not a large job is left
+    /// (low candidates have some, the top ones none), and on every
+    /// processor holding no large job the one-search `b_i` equals `eval`'s.
+    #[test]
+    fn large_free_path_matches_eval((inst, _t) in instance_and_guess()) {
+        use lrb_core::partition::planned_moves;
+        let profiles = Profiles::new(&inst);
+        let cands = profiles.candidates();
+        prop_assert!(profiles.l_t(cands[0]) > 0);
+        prop_assert_eq!(profiles.l_t(*cands.last().unwrap()), 0);
+        for &c in &cands {
+            for t in [c.saturating_sub(1), c, c + 1] {
+                prop_assert_eq!(
+                    planned_moves(&profiles, t),
+                    reference_planned_moves(&profiles, t),
+                    "t={}", t
+                );
+                for p in 0..inst.num_procs() {
+                    let prof = profiles.proc(p);
+                    let (sc, _, b) = prof.eval(t);
+                    prop_assert_eq!(prof.has_large(t), sc < prof.len(), "p={} t={}", p, t);
+                    if sc == prof.len() {
+                        prop_assert_eq!(prof.b_large_free(t), b, "p={} t={}", p, t);
+                    }
+                }
+            }
+        }
+    }
 
     #[test]
     fn a_matches_brute_force((inst, t) in instance_and_guess()) {

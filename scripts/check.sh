@@ -91,20 +91,23 @@ cargo run -q --release --offline -p lrb-cli --bin lrb -- \
 # and thread list; the threads=2 point is oversubscribed on small hosts
 # and never gates). 0.5 absorbs host-to-host hardware differences, and
 # best-of-three absorbs transient load spikes on shared runners — only a
-# regression that persists across all three runs gates.
+# regression that persists across all three runs gates. When it does, the
+# last attempt's comparator report (the per-rung delta table) goes to
+# stderr so the failing figures are in the log.
 baseline_ok=""
+baseline_report=""
 for attempt in 1 2 3; do
     cargo run -q --release --offline -p lrb-cli --bin lrb -- \
         bench --smoke --threads 1,2 --out "$bench_tmp" >/dev/null
-    if cargo run -q --release --offline -p lrb-cli --bin lrb -- \
-        bench --baseline BENCH_4.json --compare "$bench_tmp" --threshold 0.5 \
-        >/dev/null 2>&1; then
+    if baseline_report="$(cargo run -q --release --offline -p lrb-cli --bin lrb -- \
+        bench --baseline BENCH_4.json --compare "$bench_tmp" --threshold 0.5 2>&1)"; then
         baseline_ok=1
         break
     fi
     echo "    committed-baseline attempt $attempt regressed; retrying" >&2
 done
 if [ -z "$baseline_ok" ]; then
+    printf '%s\n' "$baseline_report" >&2
     echo "bench committed-baseline gate failed: regression vs BENCH_4.json persisted across 3 runs" >&2
     exit 1
 fi
