@@ -1,9 +1,10 @@
 //! F4 — threshold-search strategies at scale: the plain scan re-evaluates
 //! every processor per probe (`O(m log n)` each), the incremental scan pays
 //! `O(log n)` per threshold event (the paper's Theorem 3 bound), and the
-//! binary search needs only `O(log n)` probes. `k = 0` maximizes the number
-//! of thresholds the scans must walk; a loose budget collapses them to a
-//! single probe.
+//! binary search needs only `O(log n)` probes; the selection reads a
+//! large-free answer off the prefix sums with no probe (and falls back to
+//! the binary search otherwise). `k = 0` maximizes the number of thresholds
+//! the scans must walk; a loose budget collapses them to a single probe.
 
 use criterion::{criterion_group, criterion_main, BenchmarkId, Criterion};
 use lrb_core::mpartition::{rebalance_with, ThresholdSearch};
@@ -28,6 +29,7 @@ fn bench_search(c: &mut Criterion) {
             ("scan", ThresholdSearch::Scan),
             ("incremental", ThresholdSearch::Incremental),
             ("binary", ThresholdSearch::Binary),
+            ("select", ThresholdSearch::Select),
         ] {
             // k = 0: every threshold below "no moves needed" is infeasible,
             // so the scans walk the longest possible prefix.

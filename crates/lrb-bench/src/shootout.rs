@@ -149,10 +149,12 @@ pub fn t13_crossover(scale: Scale) -> Table {
 /// T14 — §3.1 ablation: three threshold-search strategies — the plain
 /// increasing scan, the paper's incremental event-driven scan, and binary
 /// search — must agree on the chosen threshold; they differ in probe
-/// counts and per-probe cost.
+/// counts and per-probe cost. The selection must equal the binary search
+/// bit for bit (threshold, PARTITION stats and assignment); its probes
+/// are those of its binary-search fallback.
 pub fn t14_threshold_ablation(scale: Scale) -> Table {
     let mut table = Table::new(
-        "T14: M-PARTITION threshold search ablation (scan / incremental / binary)",
+        "T14: M-PARTITION threshold search ablation (scan / incremental / binary / select)",
         &[
             "n",
             "k",
@@ -160,6 +162,8 @@ pub fn t14_threshold_ablation(scale: Scale) -> Table {
             "scan probes",
             "incr probes",
             "binary probes",
+            "select probes",
+            "select = binary",
         ],
     );
     for &n in &[100usize, 1000] {
@@ -176,27 +180,43 @@ pub fn t14_threshold_ablation(scale: Scale) -> Table {
                     .expect("incremental");
                 let bin =
                     mpartition::rebalance_with(&inst, k, ThresholdSearch::Binary).expect("binary");
+                let sel =
+                    mpartition::rebalance_with(&inst, k, ThresholdSearch::Select).expect("select");
                 let agree = scan.threshold == bin.threshold
                     && scan.threshold == inc.threshold
                     && scan.outcome.makespan() == bin.outcome.makespan()
                     && scan.outcome.makespan() == inc.outcome.makespan();
-                (agree, scan.probes, inc.probes, bin.probes)
+                let identical = sel.threshold == bin.threshold
+                    && sel.stats == bin.stats
+                    && sel.outcome.assignment() == bin.outcome.assignment();
+                T14Row {
+                    agree,
+                    identical,
+                    probes: [scan.probes, inc.probes, bin.probes, sel.probes],
+                }
             });
-            let agree = rows.iter().filter(|r| r.0).count();
-            let mean = |f: fn(&(bool, usize, usize, usize)) -> usize| -> f64 {
-                rows.iter().map(|r| f(r) as f64).sum::<f64>() / rows.len() as f64
+            let count = |f: fn(&T14Row) -> bool| {
+                format!("{}/{}", rows.iter().filter(|r| f(r)).count(), rows.len())
             };
-            table.row(&[
-                n.to_string(),
-                k.to_string(),
-                format!("{}/{}", agree, rows.len()),
-                format!("{:.1}", mean(|r| r.1)),
-                format!("{:.1}", mean(|r| r.2)),
-                format!("{:.1}", mean(|r| r.3)),
-            ]);
+            let mut cells = vec![n.to_string(), k.to_string(), count(|r| r.agree)];
+            for i in 0..4 {
+                let total: usize = rows.iter().map(|r| r.probes[i]).sum();
+                cells.push(format!("{:.1}", total as f64 / rows.len() as f64));
+            }
+            cells.push(count(|r| r.identical));
+            table.row(&cells);
         }
     }
     table
+}
+
+/// One T14 trial: whether scan, incremental and binary agree, whether the
+/// selection is bit-identical to the binary search, and each strategy's
+/// probe count (scan, incremental, binary, select).
+struct T14Row {
+    agree: bool,
+    identical: bool,
+    probes: [usize; 4],
 }
 
 #[cfg(test)]
@@ -239,8 +259,10 @@ mod tests {
         let t = t14_threshold_ablation(Scale::Quick);
         for line in t.to_csv().lines().skip(1) {
             let cells: Vec<&str> = line.split(',').collect();
-            let parts: Vec<&str> = cells[2].split('/').collect();
-            assert_eq!(parts[0], parts[1], "disagreement: {line}");
+            for col in [2, 7] {
+                let parts: Vec<&str> = cells[col].split('/').collect();
+                assert_eq!(parts[0], parts[1], "disagreement: {line}");
+            }
         }
     }
 }

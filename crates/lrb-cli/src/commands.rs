@@ -107,7 +107,8 @@ fn write_metrics(rec: &AtomicRecorder, path: &str) -> Result<String, String> {
 }
 
 /// `lrb solve FILE --algorithm greedy|mpartition|cost|ptas|st-lp|exact
-/// (--moves K | --budget B) [--eps E] [--metrics OUT.json] [--verbose]`
+/// (--moves K | --budget B) [--eps E] [--search select|binary|scan|incremental]
+/// [--metrics OUT.json] [--verbose]`
 pub fn solve(args: &Args, path: &str) -> CmdResult {
     let inst = spec::load_json(path).map_err(|e| e.to_string())?;
     let algorithm = args.get("algorithm").unwrap_or("mpartition").to_string();
@@ -128,11 +129,13 @@ pub fn solve(args: &Args, path: &str) -> CmdResult {
         None => None,
     };
     let eps: f64 = args.get_or("eps", 1.0).map_err(|e| e.to_string())?;
-    let search = match args.get("search").unwrap_or("binary") {
-        "binary" => ThresholdSearch::Binary,
-        "scan" => ThresholdSearch::Scan,
-        "incremental" => ThresholdSearch::Incremental,
-        other => return Err(format!("unknown --search {other}")),
+    let search = match args.get("search") {
+        None => ThresholdSearch::default(),
+        Some("select") => ThresholdSearch::Select,
+        Some("binary") => ThresholdSearch::Binary,
+        Some("scan") => ThresholdSearch::Scan,
+        Some("incremental") => ThresholdSearch::Incremental,
+        Some(other) => return Err(format!("unknown --search {other}")),
     };
     args.reject_unknown().map_err(|e| e.to_string())?;
     let rec = AtomicRecorder::new();
@@ -747,7 +750,7 @@ lrb — the load rebalancing toolkit (Aggarwal-Motwani-Zhu, SPAA 2003)
 USAGE:
   lrb generate --n N --m M --out FILE [--dist D] [--placement P] [--costs C] [--seed S]
   lrb info FILE
-  lrb solve FILE (--moves K | --budget B) [--algorithm A] [--eps E] [--search binary|scan|incremental]
+  lrb solve FILE (--moves K | --budget B) [--algorithm A] [--eps E] [--search select|binary|scan|incremental]
   lrb profile FILE [--moves K] [--eps E]
   lrb simulate [--sites N] [--servers M] [--epochs E] [--moves K] [--seed S] [--trace-dir D]
   lrb chaos [--sites N] [--servers M] [--epochs E] [--moves K] [--seed S] [--out FILE]
@@ -1472,7 +1475,7 @@ mod tests {
             "generate --n 12 --m 3 --placement pile --out {path}"
         ))
         .unwrap();
-        let outputs: Vec<String> = ["binary", "scan", "incremental"]
+        let outputs: Vec<String> = ["select", "binary", "scan", "incremental"]
             .iter()
             .map(|s| run(&format!("solve {path} --moves 4 --search {s}")).unwrap())
             .collect();
@@ -1484,6 +1487,7 @@ mod tests {
         };
         assert_eq!(makespan_line(&outputs[0]), makespan_line(&outputs[1]));
         assert_eq!(makespan_line(&outputs[0]), makespan_line(&outputs[2]));
+        assert_eq!(makespan_line(&outputs[0]), makespan_line(&outputs[3]));
         assert!(run(&format!("solve {path} --moves 4 --search bogus"))
             .unwrap_err()
             .contains("unknown --search"));

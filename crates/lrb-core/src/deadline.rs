@@ -183,7 +183,8 @@ impl DeadlineSolver {
             }
             SolverKind::MPartition => match budget {
                 Budget::Moves(k) => {
-                    mpartition::rebalance_budgeted(inst, k, ThresholdSearch::Binary, work)?.outcome
+                    mpartition::rebalance_budgeted(inst, k, ThresholdSearch::default(), work)?
+                        .outcome
                 }
                 Budget::Cost(b) => cost_partition::rebalance_budgeted(inst, b, work)?.outcome,
             },

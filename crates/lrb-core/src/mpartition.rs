@@ -8,15 +8,21 @@
 //! threshold no larger than `OPT` (Lemma 6), which yields the 1.5 ratio
 //! (Theorem 3).
 //!
-//! Two search strategies are provided (experiment T14 is their ablation):
+//! Four search strategies are provided (experiment T14 is their ablation):
 //!
 //! * [`ThresholdSearch::Scan`] — the paper's increasing scan from the
 //!   average-load guess; always finds the *first* feasible threshold.
+//! * [`ThresholdSearch::Incremental`] — the same scan with `O(log n)`
+//!   updates per threshold event (Theorem 3's data structure).
 //! * [`ThresholdSearch::Binary`] — binary search over the same candidate
 //!   list, exploiting that the planned move count is non-increasing in the
-//!   guess. This is the default; its agreement with the scan is enforced by
-//!   property tests (if a non-monotone instance existed, the two variants
-//!   would disagree and the tests would catch it).
+//!   guess. Its agreement with the scan is enforced by property tests (if
+//!   a non-monotone instance existed, the two variants would disagree and
+//!   the tests would catch it).
+//! * [`ThresholdSearch::Select`] — the default: when the answer is a
+//!   large-free guess (`T ≥ 2·p_max`), it is read off the prefix sums with
+//!   one selection, with no candidate ladder and no probe; otherwise it
+//!   falls back to `Binary`.
 //!
 //! Either way, the produced assignment is *always* valid and within budget;
 //! the search strategy affects only which threshold is chosen.
@@ -41,9 +47,19 @@ pub enum ThresholdSearch {
     /// behind the `O(n log n)` bound of Theorem 3. Finds the same threshold
     /// as `Scan`.
     Incremental,
-    /// Binary search over the candidate thresholds (default).
-    #[default]
+    /// Binary search over the candidate thresholds.
     Binary,
+    /// Threshold by selection (default). Above `2·p_max` no job is large,
+    /// so PARTITION plans `Σ_i b_i(T)` moves: the number of per-processor
+    /// prefix sums above `T`. When more than `k` prefix sums exceed
+    /// `2·p_max`, the smallest feasible guess there is the (k+1)-th largest
+    /// of them, `v`, found with one `select_nth_unstable`; the threshold is
+    /// `v`, or the ladder's first rung when `v` is below the average-load
+    /// floor. Otherwise (at most `k` such sums) it runs `Binary`. Every
+    /// guess below `v` needs more than `k` moves in any schedule, so the
+    /// threshold stays ≤ OPT (Lemma 6); see DESIGN.md §5.
+    #[default]
+    Select,
 }
 
 /// Result of an M-PARTITION run.
@@ -60,7 +76,7 @@ pub struct MPartitionRun {
     pub probes: usize,
 }
 
-/// Run M-PARTITION with at most `k` moves using the default binary search.
+/// Run M-PARTITION with at most `k` moves using the default search.
 ///
 /// ```
 /// use lrb_core::model::Instance;
@@ -80,11 +96,14 @@ pub fn rebalance_with(inst: &Instance, k: usize, search: ThresholdSearch) -> Res
     rebalance_with_recorded(inst, k, search, &NoopRecorder)
 }
 
-/// [`rebalance_with`] with instrumentation: times the threshold search
+/// [`rebalance_with`] with instrumentation: times the candidate build
+/// (`mpartition.ladder_build`), the threshold search or selection
 /// (`mpartition.search`) and the final PARTITION run
-/// (`mpartition.partition`), and counts — for every search strategy — how
-/// many candidate thresholds were examined versus skipped
-/// (`mpartition.candidates_examined` / `mpartition.candidates_skipped`).
+/// (`mpartition.partition`), once each per solve. For every ladder actually
+/// built it counts how many candidate thresholds were examined versus
+/// skipped (`mpartition.candidates_total` / `_examined` / `_skipped`), and
+/// it counts the `Select` solves that fell back to a ladder
+/// (`mpartition.select_fallbacks`).
 pub fn rebalance_with_recorded<R: Recorder>(
     inst: &Instance,
     k: usize,
@@ -95,7 +114,7 @@ pub fn rebalance_with_recorded<R: Recorder>(
     rebalance_impl(inst, k, search, rec, &WorkBudget::unlimited(), &mut scratch)
 }
 
-/// Run M-PARTITION against a reusable [`Scratch`] (default binary search).
+/// Run M-PARTITION against a reusable [`Scratch`] (default search).
 ///
 /// Identical output to [`rebalance`], but profiles, the candidate ladder,
 /// and every PARTITION working buffer live in `scratch` and are recycled
@@ -121,8 +140,9 @@ pub fn rebalance_scratch_recorded<R: Recorder>(
 }
 
 /// Run M-PARTITION under a [`WorkBudget`]: ticks are charged for profile
-/// construction, each probed threshold, and the final PARTITION run, so the
-/// search cancels with [`Error::Cancelled`] once the budget is exhausted.
+/// construction, each probed threshold (one for `Select`'s selection), and
+/// the final PARTITION run, so the search cancels with [`Error::Cancelled`]
+/// once the budget is exhausted.
 pub fn rebalance_budgeted(
     inst: &Instance,
     k: usize,
@@ -164,29 +184,42 @@ fn rebalance_impl<R: Recorder>(
         partition: pscratch,
         ..
     } = scratch;
-    {
+    let floor = inst.avg_load_ceil();
+    let fast_path = {
         // Timed on every solve (cache hits included) so the phase's call
         // count — and hence a trace's determinism hash — is independent of
-        // which worker's warm ladder served the item.
+        // which worker's warm ladder served the item, and of whether
+        // `Select` took its fast path.
         let _ladder_build = rec.time(names::MPARTITION_LADDER_BUILD);
         profiles.rebuild(inst);
         if let Some(proc) = profiles.overflow {
             return Err(Error::LoadOverflow { proc });
         }
-        // Start at the paper's average-load guess — but because the search
-        // only evaluates candidate thresholds and behavior is constant
-        // *between* candidates, the region containing OPT may begin at the
-        // last candidate strictly below the average (Lemma 6 talks about the
-        // largest threshold not exceeding OPT). The ladder keeps that one
-        // candidate and nothing else below the average: the average load is
-        // a lower bound on OPT, and the search's answer is at most OPT.
-        profiles.ladder_into(inst.avg_load_ceil(), candidates);
+        let fast_path = search == ThresholdSearch::Select && {
+            profiles.large_free_sums_into(candidates);
+            candidates.len() > k
+        };
+        if !fast_path {
+            // Start at the paper's average-load guess — but because the
+            // search only evaluates candidate thresholds and behavior is
+            // constant *between* candidates, the region containing OPT may
+            // begin at the last candidate strictly below the average (Lemma
+            // 6 talks about the largest threshold not exceeding OPT). The
+            // ladder keeps that one candidate and nothing else below the
+            // average: the average load is a lower bound on OPT, and the
+            // search's answer is at most OPT.
+            profiles.ladder_into(floor, candidates);
+            debug_assert!(
+                !candidates.is_empty(),
+                "the doubled max-load candidate always qualifies"
+            );
+        }
+        fast_path
+    };
+    if search == ThresholdSearch::Select && !fast_path {
+        rec.incr(names::MPARTITION_SELECT_FALLBACKS, 1);
     }
-    let cands = &candidates[..];
-    debug_assert!(
-        !cands.is_empty(),
-        "the doubled max-load candidate always qualifies"
-    );
+    let cands = &mut candidates[..];
 
     let mut probes = 0usize;
     let mut feasible = |t: Size, probes: &mut usize| -> Result<bool> {
@@ -199,16 +232,29 @@ fn rebalance_impl<R: Recorder>(
     };
 
     let search_timer = rec.time(names::MPARTITION_SEARCH);
-    let idx = match search {
+    let found = match search {
+        ThresholdSearch::Select if fast_path => {
+            // More than k large-free prefix sums: every guess below the
+            // (k+1)-th largest, v, plans more than k moves, and v plans at
+            // most k. The answer is v, or the ladder's first rung when v
+            // lies below the average-load floor (see DESIGN.md §5).
+            work.charge(names::MPARTITION_SEARCH, 1)?;
+            let v = *cands.select_nth_unstable_by(k, |a, b| b.cmp(a)).1;
+            Some(if v >= floor {
+                v
+            } else {
+                profiles.first_rung(floor).unwrap_or(v)
+            })
+        }
         ThresholdSearch::Scan => {
-            let mut idx = None;
-            for (i, &t) in cands.iter().enumerate() {
+            let mut found = None;
+            for &t in cands.iter() {
                 if feasible(t, &mut probes)? {
-                    idx = Some(i);
+                    found = Some(t);
                     break;
                 }
             }
-            idx
+            found
         }
         ThresholdSearch::Incremental => {
             let mut scan = crate::incremental::IncrementalScan::new(profiles, cands).ok_or(
@@ -221,12 +267,12 @@ fn rebalance_impl<R: Recorder>(
                 Some((t, visited)) => {
                     probes += visited;
                     work.charge(names::MPARTITION_SEARCH, visited as u64)?;
-                    Some(cands.partition_point(|&c| c < t))
+                    Some(t)
                 }
                 None => None,
             }
         }
-        ThresholdSearch::Binary => {
+        ThresholdSearch::Binary | ThresholdSearch::Select => {
             // partition_point over "still infeasible".
             let (mut lo, mut hi) = (0usize, cands.len());
             while lo < hi {
@@ -237,21 +283,23 @@ fn rebalance_impl<R: Recorder>(
                     lo = mid + 1;
                 }
             }
-            (lo < cands.len()).then_some(lo)
+            cands.get(lo).copied()
         }
     };
     drop(search_timer);
 
-    // Every probe evaluated one candidate threshold; the rest of the
-    // candidate list was never touched by this search strategy.
-    rec.incr(names::MPARTITION_CANDIDATES_TOTAL, cands.len() as u64);
-    rec.incr(names::MPARTITION_CANDIDATES_EXAMINED, probes as u64);
-    rec.incr(
-        names::MPARTITION_CANDIDATES_SKIPPED,
-        cands.len().saturating_sub(probes) as u64,
-    );
+    if !fast_path {
+        // Every probe evaluated one candidate threshold; the rest of the
+        // ladder was never touched by this search strategy.
+        rec.incr(names::MPARTITION_CANDIDATES_TOTAL, cands.len() as u64);
+        rec.incr(names::MPARTITION_CANDIDATES_EXAMINED, probes as u64);
+        rec.incr(
+            names::MPARTITION_CANDIDATES_SKIPPED,
+            cands.len().saturating_sub(probes) as u64,
+        );
+    }
 
-    let Some(idx) = idx else {
+    let Some(t) = found else {
         // Cannot happen: the largest candidate always plans zero moves.
         return Err(Error::InfeasibleGuess {
             guess: cands.last().copied().unwrap_or(0),
@@ -259,7 +307,6 @@ fn rebalance_impl<R: Recorder>(
         });
     };
 
-    let t = cands[idx];
     work.charge(names::MPARTITION_PARTITION, inst.num_jobs() as u64)?;
     let run = {
         let _t = rec.time(names::MPARTITION_PARTITION);
@@ -292,8 +339,12 @@ mod tests {
             let scan = rebalance_with(&inst, k, ThresholdSearch::Scan).unwrap();
             let inc = rebalance_with(&inst, k, ThresholdSearch::Incremental).unwrap();
             let bin = rebalance_with(&inst, k, ThresholdSearch::Binary).unwrap();
+            let sel = rebalance_with(&inst, k, ThresholdSearch::Select).unwrap();
             assert_eq!(scan.threshold, bin.threshold, "k={k}");
             assert_eq!(scan.threshold, inc.threshold, "k={k}");
+            assert_eq!(sel.threshold, bin.threshold, "k={k}");
+            assert_eq!(sel.stats, bin.stats, "k={k}");
+            assert_eq!(sel.outcome.assignment(), bin.outcome.assignment(), "k={k}");
             assert_eq!(scan.outcome.makespan(), bin.outcome.makespan(), "k={k}");
             assert_eq!(scan.outcome.makespan(), inc.outcome.makespan(), "k={k}");
         }
@@ -314,6 +365,37 @@ mod tests {
             bin.probes,
             scan.probes
         );
+    }
+
+    /// `Select` reads the threshold off the prefix sums when more than `k`
+    /// of them exceed `2·p_max` (no probe, no ladder counted), and falls
+    /// back to the ladder and binary search otherwise.
+    #[test]
+    fn select_fast_path_and_fallback_are_counted() {
+        use lrb_obs::AtomicRecorder;
+        // One processor holds 1..=8 (p_max = 8): prefix sums 1, 3, 6, …, 36,
+        // of which 21, 28 and 36 exceed 16.
+        let sizes: Vec<u64> = (1..=8).collect();
+        let inst = Instance::from_sizes(&sizes, vec![0; 8], 4).unwrap();
+        for (k, fast) in [(0, true), (2, true), (3, false), (8, false)] {
+            let rec = AtomicRecorder::new();
+            let mut scratch = Scratch::new();
+            let sel =
+                rebalance_scratch_recorded(&inst, k, ThresholdSearch::Select, &rec, &mut scratch)
+                    .unwrap();
+            let bin = rebalance_with(&inst, k, ThresholdSearch::Binary).unwrap();
+            assert_eq!(sel.threshold, bin.threshold, "k={k}");
+            assert_eq!(sel.outcome.assignment(), bin.outcome.assignment(), "k={k}");
+            let snap = rec.snapshot();
+            let fallbacks = snap.counter(names::MPARTITION_SELECT_FALLBACKS);
+            let total = snap.counter(names::MPARTITION_CANDIDATES_TOTAL);
+            assert_eq!(sel.probes == 0, fast, "k={k}");
+            assert_eq!(fallbacks, (!fast).then_some(1), "k={k}");
+            assert_eq!(total.is_some(), !fast, "k={k}");
+            for phase in [names::MPARTITION_LADDER_BUILD, names::MPARTITION_SEARCH] {
+                assert_eq!(snap.phase(phase).map(|p| p.calls), Some(1), "k={k}");
+            }
+        }
     }
 
     #[test]
@@ -393,6 +475,7 @@ mod tests {
             ThresholdSearch::Scan,
             ThresholdSearch::Incremental,
             ThresholdSearch::Binary,
+            ThresholdSearch::Select,
         ] {
             let err = rebalance_budgeted(&inst, 2, search, &WorkBudget::new(1)).unwrap_err();
             assert!(matches!(err, Error::Cancelled { .. }), "{search:?}");
@@ -476,6 +559,7 @@ mod tests {
                     ThresholdSearch::Scan,
                     ThresholdSearch::Incremental,
                     ThresholdSearch::Binary,
+                    ThresholdSearch::Select,
                 ] {
                     let ctx = format!("{sizes:?} on {initial:?}, m={m}, k={k}, {search:?}");
                     let run = rebalance_with(&inst, k, search);

@@ -25,7 +25,9 @@
 //! `Σ b_i`, and on a processor without a large job `b_i` is just the number
 //! of its prefix sums above `T` ([`ProcProfile::b_large_free`]: zero when
 //! the load fits, else one binary search). The threshold probe takes that
-//! path; see [`crate::partition`] and DESIGN.md §5.
+//! path; see [`crate::partition`] and DESIGN.md §5. The default threshold
+//! search skips the probes altogether in that regime: it selects from the
+//! prefix sums above `2·p_max` ([`Profiles::large_free_sums_into`]).
 //!
 //! `b_i` here is the "forced large removal" variant: the paper defines `b_i`
 //! without forcing the large job out when the load already fits, and then
@@ -228,35 +230,71 @@ impl Profiles {
 
     /// The candidates M-PARTITION searches from `floor` into a caller-owned
     /// buffer (cleared first): every [candidate](Self::candidates) at or
-    /// above `floor` plus the largest one below it, sorted and
-    /// deduplicated — i.e. `candidates()[start..]` where `start` indexes the
-    /// last candidate below `floor` (0 if there is none).
+    /// above `floor` plus the [first rung](Self::first_rung) below it,
+    /// sorted and deduplicated — i.e. `candidates()[start..]` where `start`
+    /// indexes the last candidate below `floor` (0 if there is none).
     ///
     /// Every source list (the doubled sizes, each processor's prefix sums
     /// and their doubles) ascends, so the part below `floor` is skipped by
     /// binary search rather than built and sorted.
     pub fn ladder_into(&self, floor: Size, out: &mut Vec<Size>) {
         out.clear();
-        // The largest candidate strictly below `floor`, if any.
-        let mut below: Option<Size> = None;
-        // A doubled value past `Size::MAX` saturates: every guess is below
-        // it, so the quantity it would step never changes within range.
-        let mut take = |asc: &[Size], scale: Size, out: &mut Vec<Size>| {
-            let cut = asc.partition_point(|&v| scale.saturating_mul(v) < floor);
-            if let Some(&v) = cut.checked_sub(1).and_then(|i| asc.get(i)) {
-                below = below.max(Some(scale.saturating_mul(v)));
-            }
+        for (asc, scale) in self.candidate_sources() {
+            let cut = cut_below(asc, scale, floor);
             out.extend(asc[cut..].iter().map(|&v| scale.saturating_mul(v)));
-        };
-        take(&self.ladder.sizes_asc, 2, out);
-        for prof in &self.per_proc {
-            take(&prof.prefix[1..], 1, out);
-            take(&prof.prefix[1..], 2, out);
         }
-        out.extend(below);
+        out.extend(self.first_rung(floor));
         out.sort_unstable();
         out.dedup();
     }
+
+    /// The largest [candidate](Self::candidates) strictly below `floor`,
+    /// if any: the first rung of the ladder searched from `floor`. One
+    /// binary search per source list, `O(m log n)`.
+    pub fn first_rung(&self, floor: Size) -> Option<Size> {
+        self.candidate_sources()
+            .filter_map(|(asc, scale)| {
+                let cut = cut_below(asc, scale, floor);
+                cut.checked_sub(1).map(|i| scale.saturating_mul(asc[i]))
+            })
+            .max()
+    }
+
+    /// Every prefix sum `B_{i,l}` (`l ≥ 1`) strictly above `2·p_max` into a
+    /// caller-owned buffer (cleared first), in no particular order. At a
+    /// guess `T ≥ 2·p_max` no job is large and PARTITION plans `Σ_i b_i(T)`
+    /// moves, which is the number of these values above `T`; see
+    /// [`crate::mpartition::ThresholdSearch::Select`].
+    pub fn large_free_sums_into(&self, out: &mut Vec<Size>) {
+        out.clear();
+        let p_max = self.ladder.sizes_asc.last().copied().unwrap_or(0);
+        let lim = p_max.saturating_mul(2);
+        for prof in &self.per_proc {
+            if prof.load() > lim {
+                let sums = &prof.prefix[1..];
+                out.extend_from_slice(&sums[sums.partition_point(|&s| s <= lim)..]);
+            }
+        }
+    }
+
+    /// The ascending lists every candidate comes from, each as
+    /// `(values, scale)`: the doubled sizes, then each processor's prefix
+    /// sums and their doubles.
+    fn candidate_sources(&self) -> impl Iterator<Item = (&[Size], Size)> {
+        std::iter::once((&self.ladder.sizes_asc[..], 2)).chain(
+            self.per_proc
+                .iter()
+                .flat_map(|prof| [(&prof.prefix[1..], 1), (&prof.prefix[1..], 2)]),
+        )
+    }
+}
+
+/// How many values of the ascending `asc`, each scaled by `scale`, lie
+/// strictly below `floor`. A doubled value past `Size::MAX` saturates:
+/// every guess is below it, so the quantity it would step never changes
+/// within range.
+fn cut_below(asc: &[Size], scale: Size, floor: Size) -> usize {
+    asc.partition_point(|&v| scale.saturating_mul(v) < floor)
 }
 
 /// The placement-independent half of the profiles: every job in ascending

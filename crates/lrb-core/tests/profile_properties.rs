@@ -95,8 +95,95 @@ fn reference_planned_moves(profiles: &Profiles, t: u64) -> Option<usize> {
     Some(l_t - m_l + selected_a + unselected_b)
 }
 
+/// Where [`ThresholdSearch::Select`] settles, by brute force.
+///
+/// [`ThresholdSearch::Select`]: lrb_core::mpartition::ThresholdSearch::Select
+#[derive(Debug, Clone, Copy, PartialEq, Eq)]
+enum SelectRegime {
+    /// More than `k` prefix sums exceed `2·p_max`; the (k+1)-th largest,
+    /// `v`, is at or above the average-load floor.
+    AtV,
+    /// As [`AtV`](Self::AtV), but `v` is below the floor.
+    BelowFloor,
+    /// At most `k` prefix sums exceed `2·p_max`: the ladder and binary
+    /// search run.
+    Fallback,
+}
+
+/// Check `Select` against a scan of the eval-based reference plan over
+/// `candidates()` cut at the average load, for every `k` from 0 to
+/// `n + 1` (so `k ≥ n` and both sides of the fallback boundary are
+/// covered). Returns the regime of each `k`.
+fn check_select(inst: &Instance) -> Vec<SelectRegime> {
+    use lrb_core::mpartition::{rebalance_with, ThresholdSearch};
+    let profiles = Profiles::new(inst);
+    let all = profiles.candidates();
+    let floor = inst.avg_load_ceil();
+    let ladder = &all[all.partition_point(|&c| c < floor).saturating_sub(1)..];
+    let p_max = inst.jobs().iter().map(|j| j.size).max().unwrap_or(0);
+    let mut above: Vec<u64> = (0..inst.num_procs())
+        .flat_map(|p| profiles.proc(p).prefix[1..].to_vec())
+        .filter(|&s| s > 2 * p_max)
+        .collect();
+    above.sort_unstable_by(|a, b| b.cmp(a));
+    (0..=inst.num_jobs() + 1)
+        .map(|k| {
+            let want = ladder
+                .iter()
+                .copied()
+                .find(|&t| matches!(reference_planned_moves(&profiles, t), Some(m) if m <= k));
+            let run = rebalance_with(inst, k, ThresholdSearch::Select).unwrap();
+            assert_eq!(Some(run.threshold), want, "k={k} on {inst:?}");
+            let regime = match above.get(k) {
+                None => SelectRegime::Fallback,
+                Some(&v) if v >= floor => SelectRegime::AtV,
+                Some(_) => SelectRegime::BelowFloor,
+            };
+            assert_eq!(
+                run.probes == 0,
+                regime != SelectRegime::Fallback,
+                "k={k} on {inst:?}"
+            );
+            regime
+        })
+        .collect()
+}
+
+/// A seeded sweep of [`check_select`] that must meet all three regimes.
+#[test]
+fn select_sweep_covers_every_regime() {
+    let mut seen = Vec::new();
+    for seed in 0..400u64 {
+        let m = 1 + (mix(seed) % 4) as usize;
+        let n = 1 + (mix(seed ^ 1) % 10) as usize;
+        let max_size = [3u64, 60][(seed % 2) as usize];
+        let sizes: Vec<u64> = (0..n)
+            .map(|j| 1 + mix(seed << 8 | j as u64) % max_size)
+            .collect();
+        let initial: Vec<usize> = (0..n)
+            .map(|j| (mix(seed << 16 | j as u64) % m as u64) as usize)
+            .collect();
+        let inst = Instance::from_sizes(&sizes, initial, m).unwrap();
+        for regime in check_select(&inst) {
+            if !seen.contains(&regime) {
+                seen.push(regime);
+            }
+        }
+    }
+    assert_eq!(seen.len(), 3, "regimes seen: {seen:?}");
+}
+
 proptest! {
     #![proptest_config(ProptestConfig::with_cases(300))]
+
+    /// `Select`'s threshold is the first rung of the ladder cut at the
+    /// average load whose reference plan fits `k`, for every `k`, and it
+    /// probes nothing exactly when more than `k` prefix sums exceed
+    /// `2·p_max`.
+    #[test]
+    fn select_matches_the_reference_scan((inst, _t) in instance_and_guess()) {
+        check_select(&inst);
+    }
 
     /// At every candidate and one either side, the planned move count
     /// equals the eval-based reference, whether or not a large job is left

@@ -47,6 +47,8 @@ pub const MPARTITION_CANDIDATES_SKIPPED: &str = "mpartition.candidates_skipped";
 pub const MPARTITION_PARTITION: &str = "mpartition.partition";
 /// Threshold-ladder build (profile rebuild) wall time under M-PARTITION.
 pub const MPARTITION_LADDER_BUILD: &str = "mpartition.ladder_build";
+/// `Select` solves that fell back to the candidate ladder and binary search.
+pub const MPARTITION_SELECT_FALLBACKS: &str = "mpartition.select_fallbacks";
 
 /// Cost-PARTITION threshold search wall time.
 pub const COST_PARTITION_SEARCH: &str = "cost_partition.search";

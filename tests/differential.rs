@@ -11,12 +11,17 @@
 //! * PARTITION at guess `t` plans no more moves than the *cheapest* exact
 //!   solution of makespan ≤ t (Theorem 2), via `lrb-exact::move_min`.
 //!
+//! On every cell of both families the default threshold search must also
+//! settle on the binary search's threshold, `PartitionStats` and
+//! assignment, and some cells of each must take its selection fast path.
+//!
 //! Family A is fully exhaustive at the small end (every size multiset over
 //! {1,2,3}, every placement, every budget). Family B pushes to the n ≤ 10,
 //! m = 4 oracle limit with canonical set-partition placements (restricted
 //! growth strings), strided to keep the suite inside a few seconds.
 
 use load_rebalance::core::model::{Budget, Instance, Job};
+use load_rebalance::core::mpartition::ThresholdSearch;
 use load_rebalance::core::profiles::Profiles;
 use load_rebalance::core::{cost_partition, greedy, mpartition, partition};
 use load_rebalance::exact;
@@ -76,8 +81,11 @@ fn rgs_placements(n: usize, m: usize, stride: usize) -> Vec<Vec<usize>> {
     all.into_iter().step_by(stride.max(1)).collect()
 }
 
-/// Assert every certified bound on one (instance, budget) cell.
-fn certify(inst: &Instance, k: usize) {
+/// Assert every certified bound on one (instance, budget) cell, and that
+/// the default threshold search settles exactly where the binary search
+/// does. Returns whether the default took its selection fast path (no
+/// probe).
+fn certify(inst: &Instance, k: usize) -> bool {
     let m = inst.num_procs() as u64;
     let opt = exact::optimal_makespan_moves(inst, k);
 
@@ -103,6 +111,15 @@ fn certify(inst: &Instance, k: usize) {
         "Lemma 6 violated: threshold {} > OPT {opt} on {inst:?} k={k}",
         mp.threshold,
     );
+
+    // The default search is bit-identical to the binary search.
+    let bin = mpartition::rebalance_with(inst, k, ThresholdSearch::Binary)
+        .expect("m-partition solves every instance");
+    let ctx = format!("default vs binary on {inst:?} k={k}");
+    assert_eq!(mp.threshold, bin.threshold, "{ctx}");
+    assert_eq!(mp.stats, bin.stats, "{ctx}");
+    assert_eq!(mp.outcome.assignment(), bin.outcome.assignment(), "{ctx}");
+    mp.probes == 0
 }
 
 /// Theorem 2 (move minimality): at every candidate threshold `t` that some
@@ -142,14 +159,14 @@ fn certify_move_minimality(inst: &Instance) {
 
 #[test]
 fn family_a_exhaustive_small_instances() {
-    let mut cells = 0usize;
+    let (mut cells, mut selected) = (0usize, 0usize);
     for m in 1..=3usize {
         for n in 1..=4usize {
             for sizes in size_multisets(n, 3) {
                 for placement in all_placements(n, m) {
                     let inst = Instance::from_sizes(&sizes, placement, m).unwrap();
                     for k in 0..=n {
-                        certify(&inst, k);
+                        selected += usize::from(certify(&inst, k));
                         cells += 1;
                     }
                 }
@@ -158,6 +175,8 @@ fn family_a_exhaustive_small_instances() {
     }
     // Exhaustiveness guard: the family must not silently shrink.
     assert_eq!(cells, 9_078, "family A cell count drifted");
+    // The default-vs-binary check must cover the selection fast path.
+    assert!(selected > 0, "no family A cell took the selection path");
 }
 
 #[test]
@@ -184,18 +203,19 @@ fn family_b_oracle_limit_instances() {
         (&[9, 7, 5, 4, 3, 2, 2, 1], 17),
         (&[12, 10, 8, 7, 6, 5, 4, 3, 2, 1], 211),
     ];
-    let mut cells = 0usize;
+    let (mut cells, mut selected) = (0usize, 0usize);
     for (sizes, stride) in families {
         let n = sizes.len();
         for placement in rgs_placements(n, 4, stride) {
             let inst = Instance::from_sizes(sizes, placement, 4).unwrap();
             for k in [0usize, 1, 2, 4] {
-                certify(&inst, k);
+                selected += usize::from(certify(&inst, k));
                 cells += 1;
             }
         }
     }
     assert!(cells > 400, "only {cells} cells enumerated");
+    assert!(selected > 0, "no family B cell took the selection path");
 }
 
 #[test]

@@ -9,7 +9,10 @@
 //! `mpartition.candidates_{total,examined,skipped}` counters are folded in
 //! per strategy. Any change to what the search probes, which threshold it
 //! settles on, or what PARTITION builds there changes the digest; a pure
-//! speed-up must leave it equal to [`GOLDEN`].
+//! speed-up must leave it equal to [`GOLDEN`]. [`GOLDEN`] covers the
+//! scan, incremental and binary searches; the selection (which probes
+//! nothing on its fast path) has its own digest, [`GOLDEN_SELECT`], which
+//! also folds in `mpartition.select_fallbacks`.
 
 use lrb_obs::AtomicRecorder;
 use rand::{Rng, SeedableRng};
@@ -21,6 +24,10 @@ use load_rebalance::harness::bench::standard_ladder;
 
 /// The digest of the corpus below.
 const GOLDEN: u64 = 0x289b_57e3_06dd_0b82;
+
+/// The digest of the corpus below under [`ThresholdSearch::Select`] alone,
+/// with its fallback counter folded in next to the candidate counters.
+const GOLDEN_SELECT: u64 = 0x51f5_bc24_9dc2_40fa;
 
 const SEARCHES: [ThresholdSearch; 3] = [
     ThresholdSearch::Binary,
@@ -81,7 +88,7 @@ fn budgets(inst: &Instance) -> Vec<usize> {
     vec![0, 1, n / 4, n]
 }
 
-fn corpus_digest() -> u64 {
+fn corpus() -> Vec<(Instance, Vec<usize>)> {
     let mut corpus: Vec<(Instance, Vec<usize>)> = random_corpus(0x601D, 400)
         .into_iter()
         .map(|inst| {
@@ -99,9 +106,15 @@ fn corpus_digest() -> u64 {
             corpus.push((inst, ks));
         }
     }
+    corpus
+}
 
+/// The corpus digest under each of `searches` in turn, folding in the
+/// named counters after each.
+fn corpus_digest(searches: &[ThresholdSearch], counters: &[&str]) -> u64 {
+    let corpus = corpus();
     let mut digest = Digest::new();
-    for search in SEARCHES {
+    for &search in searches {
         let rec = AtomicRecorder::new();
         let mut shared = Scratch::new();
         for (inst, ks) in &corpus {
@@ -115,22 +128,50 @@ fn corpus_digest() -> u64 {
             }
         }
         let snap = rec.snapshot();
-        for name in [
-            "mpartition.candidates_total",
-            "mpartition.candidates_examined",
-            "mpartition.candidates_skipped",
-        ] {
+        for &name in counters {
             digest.word(snap.counter(name).unwrap_or(0));
         }
     }
     digest.0
 }
 
+const CANDIDATE_COUNTERS: [&str; 3] = [
+    "mpartition.candidates_total",
+    "mpartition.candidates_examined",
+    "mpartition.candidates_skipped",
+];
+
 #[test]
 fn mpartition_outputs_match_the_golden_digest() {
-    let digest = corpus_digest();
+    let digest = corpus_digest(&SEARCHES, &CANDIDATE_COUNTERS);
     assert_eq!(
         digest, GOLDEN,
         "M-PARTITION output digest changed: got {digest:#018x}"
+    );
+}
+
+/// Every corpus cell: the selection settles on the binary search's
+/// threshold, `PartitionStats` and assignment.
+#[test]
+fn select_equals_binary_on_the_corpus() {
+    for (inst, ks) in &corpus() {
+        for &k in ks {
+            let sel = mpartition::rebalance_with(inst, k, ThresholdSearch::Select).expect("solve");
+            let bin = mpartition::rebalance_with(inst, k, ThresholdSearch::Binary).expect("solve");
+            assert_eq!(sel.threshold, bin.threshold, "{inst:?} k={k}");
+            assert_eq!(sel.stats, bin.stats, "{inst:?} k={k}");
+            assert_eq!(sel.outcome.assignment(), bin.outcome.assignment());
+        }
+    }
+}
+
+#[test]
+fn select_outputs_match_their_golden_digest() {
+    let mut counters = CANDIDATE_COUNTERS.to_vec();
+    counters.push("mpartition.select_fallbacks");
+    let digest = corpus_digest(&[ThresholdSearch::Select], &counters);
+    assert_eq!(
+        digest, GOLDEN_SELECT,
+        "Select output digest changed: got {digest:#018x}"
     );
 }

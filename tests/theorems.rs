@@ -73,17 +73,22 @@ proptest! {
             "M-PARTITION {} vs OPT {opt}", run.outcome.makespan());
     }
 
-    /// The two threshold-search strategies agree (the monotonicity the
-    /// binary search relies on; see DESIGN.md section 5).
+    /// The threshold-search strategies agree (the monotonicity the binary
+    /// search relies on; see DESIGN.md section 5), and the selection
+    /// matches the binary search bit for bit.
     #[test]
     fn threshold_searches_agree((inst, k) in small_instance()) {
         let scan = mpartition::rebalance_with(&inst, k, ThresholdSearch::Scan).unwrap();
         let inc = mpartition::rebalance_with(&inst, k, ThresholdSearch::Incremental).unwrap();
         let bin = mpartition::rebalance_with(&inst, k, ThresholdSearch::Binary).unwrap();
+        let sel = mpartition::rebalance_with(&inst, k, ThresholdSearch::Select).unwrap();
         prop_assert_eq!(scan.threshold, bin.threshold);
         prop_assert_eq!(scan.threshold, inc.threshold);
         prop_assert_eq!(scan.outcome.makespan(), bin.outcome.makespan());
         prop_assert_eq!(scan.outcome.makespan(), inc.outcome.makespan());
+        prop_assert_eq!(sel.threshold, bin.threshold);
+        prop_assert_eq!(&sel.stats, &bin.stats);
+        prop_assert_eq!(sel.outcome.assignment(), bin.outcome.assignment());
     }
 
     /// The constrained variant: the LP 2-approximation respects eligibility
